@@ -21,13 +21,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import PointPattern, temporal_multiplicity
-from .network import equidistant_counts, point_vertex_distances
+from .core import PointPattern
 from .summaries import (
     ListaSet,
     SummaryConfig,
     SummarySurface,
     _bin_indices,
+    _cross_tables,
     _kernel_columns,
     _pair_tables,
     _theoretical,
@@ -76,56 +76,6 @@ class LocalTestResult:
         )
 
 
-def _cross_tables(X: PointPattern, Z: PointPattern, cfg: SummaryConfig):
-    """Distance, lag and correction tables for pairs (x_i, z_j).
-
-    Corrections use x_i as the origin, mirroring the ordered-pair role it
-    plays in its local surface.  Entries whose correction vanishes get
-    zero weight and infinite distance.
-    """
-    dt = np.abs(X.t[:, None] - Z.t[None, :])
-    if X.network is None:
-        dx = np.abs(X.x[:, None] - Z.x[None, :])
-        dy = np.abs(X.y[:, None] - Z.y[None, :])
-        dist = np.hypot(dx, dy)
-        if cfg.correction == "translation":
-            w = (X.window.width - dx) * (X.window.height - dy)
-            w = w * (X.interval.length - dt)
-            w = w / (X.window.area * X.interval.length)
-            dead = w <= 0
-            w[dead] = 1.0
-            base = 1.0 / w
-            base[dead] = 0.0
-            dist[dead] = np.inf
-        else:
-            base = np.ones_like(dist)
-    else:
-        net = X.network
-        nX, nZ = X.n, Z.n
-        ends_u = net.segments[Z.net_seg, 0]
-        ends_v = net.segments[Z.net_seg, 1]
-        ell = net.lengths[Z.net_seg]
-        dist = np.empty((nX, nZ))
-        m_l = np.empty((nX, nZ), dtype=np.int64)
-        for i in range(nX):
-            origin = (int(X.net_seg[i]), float(X.net_off[i]))
-            dv = point_vertex_distances(net, origin)
-            d = np.minimum(dv[ends_u] + Z.net_off, dv[ends_v] + (ell - Z.net_off))
-            same = Z.net_seg == X.net_seg[i]
-            d[same] = np.minimum(d[same], np.abs(Z.net_off[same] - X.net_off[i]))
-            dist[i] = d
-            m_l[i] = equidistant_counts(net, origin, d, dv=dv)
-        m_t = temporal_multiplicity(X.interval, X.t[:, None], dt)
-        dead = (m_l == 0) | (m_t == 0)
-        denom = (m_l * m_t).astype(float)
-        denom[denom == 0] = 1.0
-        base = 1.0 / denom
-        base[dead] = 0.0
-        dist = dist.copy()
-        dist[dead] = np.inf
-    return dist, dt, base
-
-
 def _surface_from_subset(flatbins, base_row, sel, nr, nh):
     idx = flatbins[sel]
     ok = idx >= 0
@@ -156,7 +106,8 @@ def localtest(
     Z only would nearly coincide whenever the patterns have similar
     sizes, collapsing the null spread and flagging almost every point.
     Intensities are homogeneous, n_X / volume for every surface, since
-    each compared pattern holds exactly n_X events.
+    each compared pattern holds exactly n_X events.  For a given seed the
+    p-values do not depend on the row order of X or Z.
     """
     X, Z = background, alternative
     if X.window != Z.window or X.interval != Z.interval:
@@ -180,9 +131,14 @@ def localtest(
         raise ValueError("background needs >= 1 event, alternative >= 2")
     nr, nh = len(cfg.rs), len(cfg.hs)
     scale = X.volume / nX
+    # canonical event orders, as in globaldiag: each event's random stream
+    # and partner pool follow the events, not their input rows
+    order = np.lexsort((X.y, X.x, X.t))
+    X = X.subset(order)
+    Z = Z.subset(np.lexsort((Z.y, Z.x, Z.t)))
 
     dist_x, dt_x, base_x, _ = _pair_tables(X, np.ones(nX), cfg)
-    dist_z, dt_z, base_z = _cross_tables(X, Z, cfg)
+    dist_z, dt_z, base_z, _ = _cross_tables(X, Z, cfg)
     dist = np.hstack([dist_x, dist_z])
     dt = np.hstack([dt_x, dt_z])
     base = np.hstack([base_x, base_z])
@@ -220,7 +176,7 @@ def localtest(
         t_obs = float(np.sum((obs - mean_null) ** 2))
         loo_mean = (null.sum(axis=0)[None] - null) / (k - 1) if k > 1 else mean_null[None]
         t_null = np.sum((null - loo_mean) ** 2, axis=(1, 2))
-        pvalues[i] = (1.0 + np.sum(t_null >= t_obs)) / (k + 1.0)
+        pvalues[order[i]] = (1.0 + np.sum(t_null >= t_obs)) / (k + 1.0)
 
     return LocalTestResult(pvalues, alpha, k, method, nX, nZ)
 

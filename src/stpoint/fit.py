@@ -841,6 +841,8 @@ def locstppm(
     row_of_event[quad.data_index[quad.is_data]] = data_rows
     for i in range(n):
         wi = quad.weights * kernels[i]
+        if not (wi > 0).all():  # kernel weights underflowed: not converged
+            continue
         try:
             res = fit_glm(design.matrix, y, wi, names=design.names, tol=tol)
         except FitError:

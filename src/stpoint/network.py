@@ -177,7 +177,7 @@ def point_vertex_distances(network: LinearNetwork, point) -> np.ndarray:
     """
     seg, off = _as_seg_off(point)
     ell = float(network.lengths[seg])
-    if off < -VERTEX_TOL or off > ell + VERTEX_TOL:
+    if not -VERTEX_TOL <= off <= ell + VERTEX_TOL:  # NaN fails too
         raise ValueError("offset outside segment")
     off = min(max(off, 0.0), ell)
     u, v = (int(k) for k in network.segments[seg])
@@ -216,22 +216,42 @@ def network_distance(network: LinearNetwork, a, b) -> float:
 
 
 def pairwise_network_distances(network: LinearNetwork, seg, off) -> np.ndarray:
-    """Matrix of shortest-path distances between points (seg[i], off[i])."""
-    seg = np.asarray(seg, dtype=np.int64)
-    off = np.asarray(off, dtype=float)
-    n = len(seg)
-    ends_u = network.segments[seg, 0]
-    ends_v = network.segments[seg, 1]
-    ell = network.lengths[seg]
-    out = np.zeros((n, n))
-    for i in range(n):
-        dv = point_vertex_distances(network, (int(seg[i]), float(off[i])))
-        d = np.minimum(dv[ends_u] + off, dv[ends_v] + (ell - off))
-        same = seg == seg[i]
-        d[same] = np.minimum(d[same], np.abs(off[same] - off[i]))
-        out[i] = d
+    """Matrix of shortest-path distances between points (seg[i], off[i]).
+
+    Shares the pair-geometry path of the network second-order summaries.
+    """
+    seg_off = (np.asarray(seg, dtype=np.int64), np.asarray(off, dtype=float))
+    out, _ = _pair_geometry(network, seg_off, seg_off)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _pair_geometry(network, origins, partners, reach=-np.inf):
+    """Distances and equidistant counts from each origin to each partner.
+
+    origins and partners are (seg, off) array pairs.  One Dijkstra per
+    origin gives its distances to all partners; m(origin, d) is evaluated
+    only where d <= reach.  Unreachable partners get m = 0, partners beyond
+    the reach m = 1, which no lag up to the reach can see.  Returns
+    (dist, m), both of shape (len(origins[0]), len(partners[0])).
+    """
+    seg_p, off_p = partners
+    ends_u = network.segments[seg_p, 0]
+    ends_v = network.segments[seg_p, 1]
+    ell = network.lengths[seg_p]
+    dist = np.empty((len(origins[0]), len(seg_p)))
+    m = np.ones(dist.shape, dtype=np.int64)
+    for i, origin in enumerate(zip(origins[0].tolist(), origins[1].tolist())):
+        dv = point_vertex_distances(network, origin)
+        d = np.minimum(dv[ends_u] + off_p, dv[ends_v] + (ell - off_p))
+        same = seg_p == origin[0]
+        d[same] = np.minimum(d[same], np.abs(off_p[same] - origin[1]))
+        near = d <= reach
+        if near.any():
+            m[i, near] = equidistant_counts(network, origin, d[near], dv=dv)
+        m[i, np.isinf(d)] = 0
+        dist[i] = d
+    return dist, m
 
 
 def _segment_tables(network, point, dv):
@@ -258,7 +278,7 @@ def _segment_tables(network, point, dv):
 def equidistant_counts(network: LinearNetwork, point, rs, dv=None) -> np.ndarray:
     """m(point, r) for each r in rs; m(point, 0) = 1 by convention."""
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    if (rs < 0).any():
+    if not (rs >= 0).all():  # NaN fails too
         raise ValueError("r must be nonnegative")
     if dv is None:
         dv = point_vertex_distances(network, point)

@@ -13,8 +13,12 @@ Pair (i, j) contributions, ordered pairs i != j:
     planar g:   kernel-smoothed version, Epanechnikov in lag and time
     network K:  1/(lam_i lam_j m(u_i, d_ij) m_T(t_i, |dt_ij|))
 
-Network pairs whose equidistant or temporal count is zero are skipped and
-reported via ``skipped_pairs``.
+Equidistant counts are evaluated only for pairs within the lag reach, the
+largest distance any lag can see: r_max for K, r_max + b_r for g.  Network
+pairs with no weight are skipped and counted in ``skipped_pairs``:
+unreachable pairs (different connected components), pairs whose temporal
+count is zero, and pairs within the lag reach whose equidistant count is
+zero.
 """
 
 from __future__ import annotations
@@ -26,11 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import PointPattern, temporal_multiplicity
-from .network import (
-    equidistant_counts,
-    pairwise_network_distances,
-    point_vertex_distances,
-)
+from .network import _pair_geometry, point_vertex_distances
 
 __all__ = [
     "SummaryConfig",
@@ -98,7 +98,13 @@ def resolve_config(pattern: PointPattern, config: Optional[SummaryConfig]) -> Su
 
 @dataclass(frozen=True)
 class SummarySurface:
-    """Estimate and theoretical Poisson surface over the lag grids."""
+    """Estimate and theoretical Poisson surface over the lag grids.
+
+    ``skipped_pairs`` counts the ordered network pairs left out for want of
+    weight: unreachable pairs, plus pairs with a zero temporal count or,
+    within the lag reach, a zero equidistant count.  It is 0 for planar
+    patterns.
+    """
 
     rs: np.ndarray
     hs: np.ndarray
@@ -126,7 +132,7 @@ class ListaSet:
     def mean_surface(self) -> SummarySurface:
         est = np.mean([s.est for s in self.surfaces], axis=0)
         s0 = self.surfaces[0]
-        return SummarySurface(s0.rs, s0.hs, est, s0.theo, s0.statistic)
+        return SummarySurface(s0.rs, s0.hs, est, s0.theo, s0.statistic, self.skipped_pairs)
 
     def __len__(self):
         return len(self.surfaces)
@@ -143,52 +149,54 @@ def _check_lam(pattern, lam) -> np.ndarray:
     return lam
 
 
-def _pair_tables(pattern: PointPattern, lam: np.ndarray, cfg: SummaryConfig):
-    """Distance, time-lag and weight tables for ordered pairs.
+def _cross_tables(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, num=1.0):
+    """Distance, time-lag and weight tables for ordered pairs (x_i, z_j).
 
-    Returns (dist, dt, contrib, skipped) with the diagonal and skipped
-    pairs carrying contribution 0 and distance +inf so they never bin.
+    The weight is num over the edge correction with x_i as origin: the
+    translation proportion (planar) or m(x_i, d_ij) m_T(t_i, |dt_ij|)
+    (network).  Dead pairs, whose correction vanishes, get weight 0 and
+    distance +inf so they never bin.  Returns (dist, dt, weight, dead).
     """
-    n = pattern.n
-    t = pattern.t
-    dt = np.abs(t[:, None] - t[None, :])
-    inv = 1.0 / (lam[:, None] * lam[None, :])
-    skipped = 0
-    if pattern.network is None:
-        dx = np.abs(pattern.x[:, None] - pattern.x[None, :])
-        dy = np.abs(pattern.y[:, None] - pattern.y[None, :])
+    dt = np.abs(X.t[:, None] - Z.t[None, :])
+    if X.network is None:
+        dx = np.abs(X.x[:, None] - Z.x[None, :])
+        dy = np.abs(X.y[:, None] - Z.y[None, :])
         dist = np.hypot(dx, dy)
         if cfg.correction == "translation":
-            w = pattern.window.width - dx
-            w = w * (pattern.window.height - dy)
-            w = w * (pattern.interval.length - dt)
-            w = w / (pattern.window.area * pattern.interval.length)
+            w = (X.window.width - dx) * (X.window.height - dy)
+            w = w * (X.interval.length - dt)
+            w = w / (X.window.area * X.interval.length)
             # pairs spanning the full window extent carry zero weight;
             # their lags always exceed the admissible grids, so drop them
             dead = w <= 0
-            w[dead] = 1.0
-            contrib = inv / w
-            contrib[dead] = 0.0
-            dist[dead] = np.inf
         else:
-            contrib = inv.copy()
+            w = np.ones_like(dist)
+            dead = np.zeros(dist.shape, dtype=bool)
     else:
-        net = pattern.network
-        dist = pairwise_network_distances(net, pattern.net_seg, pattern.net_off)
-        m_l = np.empty((n, n), dtype=np.int64)
-        for i in range(n):
-            dv = point_vertex_distances(net, (int(pattern.net_seg[i]), float(pattern.net_off[i])))
-            m_l[i] = equidistant_counts(net, (int(pattern.net_seg[i]), float(pattern.net_off[i])), dist[i], dv=dv)
-        m_t = temporal_multiplicity(pattern.interval, t[:, None], dt)
+        # lag reach: the largest distance any lag can see
+        reach = cfg.rs[-1] + (cfg.br if cfg.statistic == "g" else 0.0)
+        dist, m_l = _pair_geometry(
+            X.network, (X.net_seg, X.net_off), (Z.net_seg, Z.net_off), reach
+        )
+        m_t = temporal_multiplicity(X.interval, X.t[:, None], dt)
         dead = (m_l == 0) | (m_t == 0)
-        np.fill_diagonal(dead, False)
-        skipped = int(dead.sum())
-        denom = (m_l * m_t).astype(float)
-        denom[denom == 0] = 1.0
-        contrib = inv / denom
-        contrib[dead] = 0.0
-        dist = dist.copy()
-        dist[dead] = np.inf
+        w = (m_l * m_t).astype(float)
+    w[dead] = 1.0
+    weight = num / w
+    weight[dead] = 0.0
+    dist[dead] = np.inf
+    return dist, dt, weight, dead
+
+
+def _pair_tables(pattern: PointPattern, lam: np.ndarray, cfg: SummaryConfig):
+    """Tables for ordered pairs (i, j): the cross case X = Z, num = 1/(lam_i lam_j).
+
+    Returns (dist, dt, contrib, skipped); the diagonal carries contribution
+    0 and distance +inf, and skipped counts the dead network pairs.
+    """
+    inv = 1.0 / (lam[:, None] * lam[None, :])
+    dist, dt, contrib, dead = _cross_tables(pattern, pattern, cfg, inv)
+    skipped = 0 if pattern.network is None else int(dead.sum())
     np.fill_diagonal(contrib, 0.0)
     np.fill_diagonal(dist, np.inf)
     return dist, dt, contrib, skipped

@@ -108,6 +108,24 @@ def test_localtest_domain_mismatch(poisson100, net_poisson):
         localtest(planar, net_poisson, seed=0)
 
 
+def test_localtest_on_network(net_poisson, grid_network):
+    Z = sim_poisson(
+        IntensitySpec.constant(3.0), network=grid_network,
+        interval=net_poisson.interval, seed=12,
+    )
+    k = 19
+    res = localtest(net_poisson, Z, k=k, seed=4)
+    assert res.pvalues.shape == (net_poisson.n,)
+    assert res.pvalues.min() >= 1.0 / (k + 1) and res.pvalues.max() <= 1.0
+    again = localtest(net_poisson, Z, k=k, seed=4)
+    assert np.array_equal(res.pvalues, again.pvalues)
+    # each event keeps its p-value whatever its row, in X and in Z
+    rng = np.random.default_rng(0)
+    perm = rng.permutation(net_poisson.n)
+    shuffled = localtest(net_poisson.subset(perm), Z.subset(rng.permutation(Z.n)), k=k, seed=4)
+    assert np.array_equal(shuffled.pvalues, res.pvalues[perm])
+
+
 def test_localtest_validation(poisson100, unit_window, unit_interval):
     Z = sim_poisson(IntensitySpec.constant(25.0), seed=3)
     with pytest.raises(ValueError, match="k must be at least 1"):

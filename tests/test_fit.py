@@ -367,6 +367,15 @@ def test_local_slopes_bracket_truth():
     assert "Coefficient quartiles" in str(lf)
 
 
+def test_underflowing_kernel_weights_give_nan_rows():
+    # with bandwidths of 0.01 the kernel weights of distant quadrature
+    # points underflow to 0; such events are not converged, not an error
+    pat = sim_poisson(100, window=UNIT_W, interval=UNIT_T, seed=2)
+    lf = locstppm(pat, "~x", h_space=0.01, h_time=0.01)
+    assert not lf.converged.any()
+    assert np.isnan(lf.coef).all() and np.isnan(lf.fitted).all()
+
+
 def test_local_fit_validation(poisson100):
     with pytest.raises(ValueError, match="bandwidths"):
         locstppm(poisson100, "~1", h_space=-1.0, h_time=0.1)

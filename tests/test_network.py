@@ -181,6 +181,20 @@ def test_equidistant_counts_vector_and_errors(cycle_network):
         equidistant_counts(cycle_network, (0, 0.0), [-0.5])
 
 
+def test_equidistant_counts_reject_nan(cycle_network):
+    with pytest.raises(ValueError, match="nonnegative"):
+        equidistant_counts(cycle_network, (0, 0.0), [np.nan])
+
+
+def test_nan_offset_rejected(cycle_network):
+    # a NaN offset used to seed Dijkstra with NaN and report every vertex,
+    # hence every other point, as unreachable
+    with pytest.raises(ValueError, match="offset outside segment"):
+        point_vertex_distances(cycle_network, (0, np.nan))
+    with pytest.raises(ValueError, match="offset outside segment"):
+        network_distance(cycle_network, (0, np.nan), (2, 0.5))
+
+
 def sampled_level_density(net, point, r, spacing=2e-4, eps=2e-3):
     """Dense-sampling oracle: measure of {v: |d(point,v) - r| <= eps} / (2 eps)."""
     arcs = np.arange(0.5 * spacing, net.total_length, spacing)

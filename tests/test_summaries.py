@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpoint import (
     LinearNetwork,
@@ -206,6 +208,53 @@ def test_lista_mean_identity_network(net_poisson, statistic):
     lista = second_order_local(net_poisson, lam, cfg)
     gap = np.abs(lista.mean_surface().est - glob.est)
     assert gap.max() <= 1e-10
+
+
+EPS = np.finfo(np.float64).eps
+
+# events on the 19-segment grid_network: (segment, fraction along it, time,
+# intensity); fractions 0 and 1 put events on vertices
+network_events = st.lists(
+    st.tuples(
+        st.integers(0, 18), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.5, 4.0)
+    ),
+    min_size=2,
+    max_size=25,
+)
+
+
+def network_pattern(net, events):
+    seg, frac, t, lam = (np.array(c) for c in zip(*events))
+    off = frac * net.lengths[seg]
+    coords = np.column_stack([net.segment_point(seg, off), t])
+    return PointPattern(coords, SpatialWindow(0.0, 3.0, 0.0, 2.0), UNIT_T, {}, net, seg, off), lam
+
+
+def sum_bound(n, est):
+    """Float64 error bound of a K surface summed from n(n - 1) positive pair
+    terms, the tolerance of perfbench's local-mean check."""
+    return (n * n + 2 * n + 2 * est.size) * EPS * float(np.abs(est).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=network_events)
+def test_network_k_local_mean_is_global(grid_network, events):
+    pat, lam = network_pattern(grid_network, events)
+    glob = second_order_global(pat, lam)
+    mean = second_order_local(pat, lam).mean_surface().est
+    assert np.abs(mean - glob.est).max() <= sum_bound(pat.n, glob.est)
+
+
+@settings(max_examples=40, deadline=None)
+@given(events=network_events, data=st.data())
+def test_network_k_row_order_invariant(grid_network, events, data):
+    pat, lam = network_pattern(grid_network, events)
+    perm = np.array(data.draw(st.permutations(range(pat.n))))
+    a = second_order_global(pat, lam)
+    b = second_order_global(pat.subset(perm), lam[perm])
+    assert a.skipped_pairs == b.skipped_pairs
+    # two summation orders, each within the bound of the exact sum
+    assert np.abs(a.est - b.est).max() <= 2.0 * sum_bound(pat.n, a.est)
 
 
 def test_two_points_symmetric_locals():
