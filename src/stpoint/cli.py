@@ -12,8 +12,8 @@ Each run writes its artifacts plus a ``run.json`` manifest (command,
 flags, seed, library versions, sha256 checksums of inputs and outputs;
 no timestamps) into the --out directory, so identical invocations give
 byte-identical files.  --threads (or the STPP_THREADS variable) is
-accepted for interface stability, never changes numeric output, and is
-deliberately left out of the manifest.
+reserved: it is accepted and checked to be a positive integer, but it has
+no effect, and it is deliberately left out of the manifest.
 """
 
 from __future__ import annotations
@@ -636,7 +636,7 @@ def _add_out(p):
         "--threads",
         type=int,
         default=None,
-        help="accepted for compatibility; never changes results",
+        help="reserved; accepted but has no effect",
     )
 
 

@@ -14,7 +14,6 @@ returns the flagged events' surfaces for inspection.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -26,10 +25,8 @@ from .summaries import (
     ListaSet,
     SummaryConfig,
     SummarySurface,
-    _bin_indices,
-    _cross_tables,
-    _kernel_columns,
-    _pair_tables,
+    _lag_sums,
+    _pairs,
     _theoretical,
     resolve_config,
     second_order_global,
@@ -74,13 +71,6 @@ class LocalTestResult:
                 f"at alpha = {self.alpha:g}",
             ]
         )
-
-
-def _surface_from_subset(flatbins, base_row, sel, nr, nh):
-    idx = flatbins[sel]
-    ok = idx >= 0
-    acc = np.bincount(idx[ok], weights=base_row[sel][ok], minlength=nr * nh)
-    return np.cumsum(np.cumsum(acc.reshape(nr, nh), axis=0), axis=1)
 
 
 def localtest(
@@ -129,7 +119,6 @@ def localtest(
     nX, nZ = X.n, Z.n
     if nX < 1 or nZ < 2:
         raise ValueError("background needs >= 1 event, alternative >= 2")
-    nr, nh = len(cfg.rs), len(cfg.hs)
     scale = X.volume / nX
     # canonical event orders, as in globaldiag: each event's random stream
     # and partner pool follow the events, not their input rows
@@ -137,41 +126,34 @@ def localtest(
     X = X.subset(order)
     Z = Z.subset(np.lexsort((Z.y, Z.x, Z.t)))
 
-    dist_x, dt_x, base_x, _ = _pair_tables(X, np.ones(nX), cfg)
-    dist_z, dt_z, base_z, _ = _cross_tables(X, Z, cfg)
-    dist = np.hstack([dist_x, dist_z])
-    dt = np.hstack([dt_x, dt_z])
-    base = np.hstack([base_x, base_z])
-
-    if method == "K":
-        ri, hi, valid = _bin_indices(dist, dt, cfg)
-        flat = np.where(valid, ri * nh + hi, -1)
-    else:
-        fin = np.isfinite(dist)
-
-    def surface(i, sel):
-        if method == "K":
-            return _surface_from_subset(flat[i], base[i], sel, nr, nh)
-        sub = sel[fin[i][sel]]
-        ks = _kernel_columns(dist[i][sub], cfg.rs, cfg.br)
-        kt = _kernel_columns(dt[i][sub], cfg.hs, cfg.bh)
-        out = ks.T @ (base[i][sub][:, None] * kt)
-        if X.network is None:
-            out = out / (4.0 * math.pi * cfg.rs)[:, None]
-        return out
+    # X against the pooled events [X, Z]: each origin's in-range partner
+    # rows; the pair (x_i, x_i) is listed too, but no partner set holds it
+    seg = off = None
+    if X.network is not None:
+        seg, off = np.concatenate([X.net_seg, Z.net_seg]), np.concatenate([X.net_off, Z.net_off])
+    XZ = PointPattern(np.vstack([X.coords, Z.coords]), X.window, X.interval, {}, X.network, seg, off)
+    origin, partner, d, dt, w, _ = _pairs(X, XZ, cfg)
+    start = np.searchsorted(origin, np.arange(nX + 1))
 
     children = np.random.SeedSequence(seed).spawn(nX)
     pvalues = np.empty(nX)
     own = np.arange(nX)
+    slot = np.full(nX + nZ, -1)  # partner -> its pair row for the current origin
     for i in range(nX):
+        mine = np.arange(start[i], start[i + 1])
+        slot[partner[mine]] = mine
         others = np.delete(own, i)
-        obs = surface(i, others) * scale
         pool = np.concatenate([others, nX + np.arange(nZ)])
         rng = np.random.default_rng(children[i])
-        null = np.empty((k, nr, nh))
-        for j in range(k):
-            sel = rng.choice(pool, size=nX - 1, replace=False)
-            null[j] = surface(i, sel) * scale
+        # row 0 is the observed partner set, rows 1..k the random subsets;
+        # each surface sums its pairs in the order the subset lists them
+        draws = [rng.choice(pool, size=nX - 1, replace=False) for _ in range(k)]
+        hit = slot[np.vstack([others] + draws)]
+        sub, pos = np.nonzero(hit >= 0)
+        pick = hit[sub, pos]
+        surf = _lag_sums(X, cfg, scale, d[pick], dt[pick], w[pick], sub, k + 1)
+        slot[partner[mine]] = -1
+        obs, null = surf[0], surf[1:]
         mean_null = null.mean(axis=0)
         t_obs = float(np.sum((obs - mean_null) ** 2))
         loo_mean = (null.sum(axis=0)[None] - null) / (k - 1) if k > 1 else mean_null[None]
@@ -274,10 +256,11 @@ def infl(result: LocalDiagResult, ids=None) -> ListaSet:
     if ids is None:
         ids = result.flagged_ids
     ids = np.asarray(ids, dtype=np.int64)
+    skipped = result.listas.skipped_pairs
     if ids.size == 0:
-        return ListaSet(ids, (), result.listas.statistic, 0)
+        return ListaSet(ids, (), result.listas.statistic, skipped)
     n = len(result.scores)
     if ids.min() < 1 or ids.max() > n:
         raise ValueError("ids must be 1-based event numbers")
     surfaces = tuple(result.listas.surfaces[i - 1] for i in ids)
-    return ListaSet(ids, surfaces, result.listas.statistic, 0)
+    return ListaSet(ids, surfaces, result.listas.statistic, skipped)

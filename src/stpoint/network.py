@@ -283,9 +283,13 @@ def equidistant_counts(network: LinearNetwork, point, rs, dv=None) -> np.ndarray
     if dv is None:
         dv = point_vertex_distances(network, point)
     da, db, ell = _segment_tables(network, point, dv)
-    ok = np.isfinite(da)  # endpoints of one segment are co-reachable
-    da, db, ell = da[ok], db[ok], ell[ok]
     tol = VERTEX_TOL
+    rmax = rs.max(initial=0.0)
+    # no lag up to rmax crosses a (sub)segment whose nearer end is at rmax
+    # or beyond, or hits a vertex beyond rmax + tol; this also drops the
+    # unreachable ones (endpoints of one segment are co-reachable)
+    ok = np.minimum(da, db) < rmax
+    da, db, ell = da[ok], db[ok], ell[ok]
 
     r = rs[None, :]
     s1 = r - da[:, None]
@@ -296,8 +300,8 @@ def equidistant_counts(network: LinearNetwork, point, rs, dv=None) -> np.ndarray
     both = asc & desc & (np.abs(s1 - s2) <= tol)
     interior = asc.sum(axis=0) + desc.sum(axis=0) - both.sum(axis=0)
 
-    fin = np.isfinite(dv)
-    hits = np.abs(dv[fin][:, None] - r) <= tol
+    near = dv[np.isfinite(dv) & (dv <= rmax + tol)]
+    hits = np.abs(near[:, None] - r) <= tol
     counts = interior + hits.sum(axis=0)
     counts[rs <= tol] = 1
     return counts.astype(np.int64)

@@ -13,12 +13,16 @@ Pair (i, j) contributions, ordered pairs i != j:
     planar g:   kernel-smoothed version, Epanechnikov in lag and time
     network K:  1/(lam_i lam_j m(u_i, d_ij) m_T(t_i, |dt_ij|))
 
-Equidistant counts are evaluated only for pairs within the lag reach, the
-largest distance any lag can see: r_max for K, r_max + b_r for g.  Network
-pairs with no weight are skipped and counted in ``skipped_pairs``:
-unreachable pairs (different connected components), pairs whose temporal
-count is zero, and pairs within the lag reach whose equidistant count is
-zero.
+Pairs beyond the lag reach are never built.  The reach is the largest
+lag any grid node can see: r_max and h_max for K, r_max + b_r and
+h_max + b_h for g.  ``_pairs`` lists the pairs within it as flat row-major
+arrays (planar candidates come from a time-sorted sweep, network ones from
+one Dijkstra per origin), equidistant counts are evaluated for them only,
+and every surface is one sequential ``bincount`` of their weights, keyed
+by lag node or by (origin, lag node).  Network pairs with no weight are
+skipped and counted in ``skipped_pairs``: unreachable pairs (different
+connected components), pairs whose temporal count is zero, and pairs
+within the lag reach whose equidistant count is zero.
 """
 
 from __future__ import annotations
@@ -149,57 +153,78 @@ def _check_lam(pattern, lam) -> np.ndarray:
     return lam
 
 
-def _cross_tables(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, num=1.0):
-    """Distance, time-lag and weight tables for ordered pairs (x_i, z_j).
+_BLOCK = 128  # time-sorted origins per block of the planar sweep
 
-    The weight is num over the edge correction with x_i as origin: the
-    translation proportion (planar) or m(x_i, d_ij) m_T(t_i, |dt_ij|)
-    (network).  Dead pairs, whose correction vanishes, get weight 0 and
-    distance +inf so they never bin.  Returns (dist, dt, weight, dead).
+
+def _planar_lags(X, Z, i, j):
+    """|dx|, |dy|, |dt| of the pairs (x_i, z_j), broadcast over i and j."""
+    return np.abs(X.x[i] - Z.x[j]), np.abs(X.y[i] - Z.y[j]), np.abs(X.t[i] - Z.t[j])
+
+
+def _planar_keys(X, Z, rmax, hmax):
+    """Sorted keys i * Z.n + j of the planar pairs with d <= rmax, dt <= hmax.
+
+    Blocks of time-sorted origins meet the slice of time-sorted partners
+    within hmax (plus a rounding margin) of the block's time span.
     """
-    dt = np.abs(X.t[:, None] - Z.t[None, :])
+    zo = np.argsort(Z.t, kind="stable")
+    tz = Z.t[zo]
+    xo = np.argsort(X.t, kind="stable")
+    pad = hmax + 4.0 * np.finfo(float).eps * (abs(tz).max() + abs(X.t).max() + hmax)
+    keys = [np.empty(0, dtype=np.int64)]
+    for lo in range(0, X.n, _BLOCK):
+        i = xo[lo : lo + _BLOCK]
+        a = np.searchsorted(tz, X.t[i[0]] - pad, side="left")
+        b = np.searchsorted(tz, X.t[i[-1]] + pad, side="right")
+        j = zo[a:b]
+        dx, dy, dt = _planar_lags(X, Z, i[:, None], j[None, :])
+        r, c = np.nonzero((dt <= hmax) & (np.hypot(dx, dy) <= rmax))
+        keys.append(i[r] * Z.n + j[c])
+    return np.sort(np.concatenate(keys))
+
+
+def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
+    """Ordered pairs (x_i, z_j) that some lag node can see, as flat arrays.
+
+    Returns (i, j, d, dt, w, skipped) in row-major (i, then j) order for the
+    pairs within the lag reach, a superset of those with a side="left" bin
+    or a nonzero kernel value; ``Z is X`` means self pairs, i != j.  w is
+    num over the edge correction with x_i as origin: the translation
+    proportion (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
+    1/(lam_i lam_j) given lam, else 1.  Dead pairs, whose correction
+    vanishes, are left out; ``skipped`` counts the dead network pairs.
+    """
+    rmax, hmax, skipped = cfg.rs[-1], cfg.hs[-1], 0
+    if cfg.statistic == "g":  # the kernels reach one bandwidth further
+        rmax, hmax = rmax + cfg.br, hmax + cfg.bh
     if X.network is None:
-        dx = np.abs(X.x[:, None] - Z.x[None, :])
-        dy = np.abs(X.y[:, None] - Z.y[None, :])
-        dist = np.hypot(dx, dy)
+        i, j = np.divmod(_planar_keys(X, Z, rmax, hmax), Z.n)
+        dx, dy, dt = _planar_lags(X, Z, i, j)
+        d = np.hypot(dx, dy)
         if cfg.correction == "translation":
-            w = (X.window.width - dx) * (X.window.height - dy)
-            w = w * (X.interval.length - dt)
-            w = w / (X.window.area * X.interval.length)
-            # pairs spanning the full window extent carry zero weight;
-            # their lags always exceed the admissible grids, so drop them
-            dead = w <= 0
+            corr = (X.window.width - dx) * (X.window.height - dy)
+            corr = corr * (X.interval.length - dt)
+            corr = corr / (X.window.area * X.interval.length)
         else:
-            w = np.ones_like(dist)
-            dead = np.zeros(dist.shape, dtype=bool)
+            corr = np.ones_like(d)
     else:
-        # lag reach: the largest distance any lag can see
-        reach = cfg.rs[-1] + (cfg.br if cfg.statistic == "g" else 0.0)
         dist, m_l = _pair_geometry(
-            X.network, (X.net_seg, X.net_off), (Z.net_seg, Z.net_off), reach
+            X.network, (X.net_seg, X.net_off), (Z.net_seg, Z.net_off), rmax
         )
-        m_t = temporal_multiplicity(X.interval, X.t[:, None], dt)
+        dt_all = np.abs(X.t[:, None] - Z.t[None, :])
+        m_t = temporal_multiplicity(X.interval, X.t[:, None], dt_all)
         dead = (m_l == 0) | (m_t == 0)
-        w = (m_l * m_t).astype(float)
-    w[dead] = 1.0
-    weight = num / w
-    weight[dead] = 0.0
-    dist[dead] = np.inf
-    return dist, dt, weight, dead
-
-
-def _pair_tables(pattern: PointPattern, lam: np.ndarray, cfg: SummaryConfig):
-    """Tables for ordered pairs (i, j): the cross case X = Z, num = 1/(lam_i lam_j).
-
-    Returns (dist, dt, contrib, skipped); the diagonal carries contribution
-    0 and distance +inf, and skipped counts the dead network pairs.
-    """
-    inv = 1.0 / (lam[:, None] * lam[None, :])
-    dist, dt, contrib, dead = _cross_tables(pattern, pattern, cfg, inv)
-    skipped = 0 if pattern.network is None else int(dead.sum())
-    np.fill_diagonal(contrib, 0.0)
-    np.fill_diagonal(dist, np.inf)
-    return dist, dt, contrib, skipped
+        skipped = int(dead.sum())
+        i, j = np.nonzero(~dead & (dist <= rmax) & (dt_all <= hmax))
+        d, dt = dist[i, j], dt_all[i, j]
+        corr = (m_l[i, j] * m_t[i, j]).astype(float)
+    # planar pairs spanning the full window extent carry zero correction
+    keep = corr > 0
+    if Z is X:
+        keep &= i != j
+    i, j, d, dt, corr = i[keep], j[keep], d[keep], dt[keep], corr[keep]
+    num = 1.0 if lam is None else 1.0 / (lam[i] * lam[j])
+    return i, j, d, dt, num / corr, skipped
 
 
 def _global_prefactor(pattern, lam, cfg) -> float:
@@ -217,18 +242,47 @@ def _theoretical(pattern, cfg) -> np.ndarray:
     return np.outer(rs, hs)
 
 
-def _bin_indices(dist, dt, cfg):
-    ri = np.searchsorted(cfg.rs, dist, side="left")
-    hi = np.searchsorted(cfg.hs, dt, side="left")
-    valid = (ri < len(cfg.rs)) & (hi < len(cfg.hs))
-    return ri, hi, valid
+def _kernel_band(lags, grid, bw):
+    """Epanechnikov kernel values at the grid nodes within bw of each lag.
+
+    Returns (nodes, values), both of shape (len(lags), width), width the
+    largest number of such nodes over the lags; unused slots hold value 0.
+    """
+    lo = np.searchsorted(grid, lags - bw, side="left")
+    hi = np.searchsorted(grid, lags + bw, side="right")
+    nodes = lo[:, None] + np.arange(int((hi - lo).max(initial=0)))
+    used = nodes < hi[:, None]
+    nodes = np.where(used, nodes, 0)
+    u = (grid[nodes] - lags[:, None]) / bw
+    return nodes, np.where(used & (np.abs(u) <= 1.0), 0.75 * (1.0 - u * u) / bw, 0.0)
 
 
-def _kernel_columns(lags, grid, bw) -> np.ndarray:
-    """Epanechnikov kernel values, shape (*lags.shape, len(grid))."""
-    u = (grid[None, :] - np.asarray(lags).reshape(-1, 1)) / bw
-    out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u) / bw, 0.0)
-    return out
+def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
+    """Surface estimates from pair weights by one sequential bincount.
+
+    ``rows`` assigns each pair to an output row (all to row 0 by default);
+    at each lag node the pairs add up in the order given.  K bins a pair at
+    its side="left" node and cumulates over both lag axes; g spreads it over
+    the nodes by the Epanechnikov product kernel, over 4 pi r if planar.
+    Scaled by pref; shape (nrows, len(rs), len(hs)).
+    """
+    nr, nh = len(cfg.rs), len(cfg.hs)
+    if cfg.statistic == "K":
+        a = np.searchsorted(cfg.rs, d, side="left")
+        b = np.searchsorted(cfg.hs, dt, side="left")
+        ok = (a < nr) & (b < nh)
+        key, val = ((rows * nr + a) * nh + b)[ok], w[ok]
+    else:
+        a, ks = _kernel_band(d, cfg.rs, cfg.br)
+        b, kt = _kernel_band(dt, cfg.hs, cfg.bh)
+        key = (np.reshape(rows, (-1, 1, 1)) * nr + a[:, :, None]) * nh + b[:, None, :]
+        key, val = key.ravel(), (ks[:, :, None] * (w[:, None] * kt)[:, None, :]).ravel()
+        if pattern.network is None:
+            pref = (pref / (4.0 * math.pi * cfg.rs))[:, None]
+    acc = np.bincount(key, weights=val, minlength=nrows * nr * nh).reshape(nrows, nr, nh)
+    if cfg.statistic == "K":
+        acc = np.cumsum(np.cumsum(acc, axis=1), axis=2)
+    return acc * pref
 
 
 def second_order_global(pattern, lam, config=None) -> SummarySurface:
@@ -240,25 +294,8 @@ def second_order_global(pattern, lam, config=None) -> SummarySurface:
         raise ValueError("need at least 1 event")
     cfg = resolve_config(pattern, config)
     lam = _check_lam(pattern, lam)
-    dist, dt, contrib, skipped = _pair_tables(pattern, lam, cfg)
-    pref = _global_prefactor(pattern, lam, cfg)
-    nr, nh = len(cfg.rs), len(cfg.hs)
-
-    if cfg.statistic == "K":
-        ri, hi, valid = _bin_indices(dist, dt, cfg)
-        acc = np.zeros((nr, nh))
-        np.add.at(acc, (ri[valid], hi[valid]), contrib[valid])
-        est = np.cumsum(np.cumsum(acc, axis=0), axis=1) * pref
-    else:
-        finite = np.isfinite(dist)
-        c = contrib[finite]
-        ks = _kernel_columns(dist[finite], cfg.rs, cfg.br)
-        kt = _kernel_columns(dt[finite], cfg.hs, cfg.bh)
-        est = ks.T @ (c[:, None] * kt)
-        if pattern.network is None:
-            est = est * (pref / (4.0 * math.pi * cfg.rs))[:, None]
-        else:
-            est = est * pref
+    _, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
+    est = _lag_sums(pattern, cfg, _global_prefactor(pattern, lam, cfg), d, dt, w)[0]
     return SummarySurface(cfg.rs, cfg.hs, est, _theoretical(pattern, cfg), cfg.statistic, skipped)
 
 
@@ -268,10 +305,6 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         raise ValueError("need at least 1 event")
     cfg = resolve_config(pattern, config)
     lam = _check_lam(pattern, lam)
-    dist, dt, contrib, skipped = _pair_tables(pattern, lam, cfg)
-    pref = _global_prefactor(pattern, lam, cfg) * pattern.n
-    theo = _theoretical(pattern, cfg)
-    nr, nh = len(cfg.rs), len(cfg.hs)
     n = pattern.n
     if ids is None:
         ids = np.arange(1, n + 1)
@@ -279,26 +312,9 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0 or ids.min() < 1 or ids.max() > n:
             raise ValueError("ids must be 1-based event numbers")
-
-    surfaces = []
-    if cfg.statistic == "K":
-        ri, hi, valid = _bin_indices(dist, dt, cfg)
-        for i in ids - 1:
-            acc = np.zeros((nr, nh))
-            row = valid[i]
-            np.add.at(acc, (ri[i][row], hi[i][row]), contrib[i][row])
-            est = np.cumsum(np.cumsum(acc, axis=0), axis=1) * pref
-            surfaces.append(SummarySurface(cfg.rs, cfg.hs, est, theo, "K"))
-    else:
-        for i in ids - 1:
-            row = np.isfinite(dist[i])
-            c = contrib[i][row]
-            ks = _kernel_columns(dist[i][row], cfg.rs, cfg.br)
-            kt = _kernel_columns(dt[i][row], cfg.hs, cfg.bh)
-            est = ks.T @ (c[:, None] * kt)
-            if pattern.network is None:
-                est = est * (pref / (4.0 * math.pi * cfg.rs))[:, None]
-            else:
-                est = est * pref
-            surfaces.append(SummarySurface(cfg.rs, cfg.hs, est, theo, "g"))
-    return ListaSet(np.asarray(ids), tuple(surfaces), cfg.statistic, skipped)
+    i, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
+    pref = _global_prefactor(pattern, lam, cfg) * n
+    est = _lag_sums(pattern, cfg, pref, d, dt, w, i, n)[ids - 1]
+    theo = _theoretical(pattern, cfg)
+    surfaces = tuple(SummarySurface(cfg.rs, cfg.hs, e, theo, cfg.statistic) for e in est)
+    return ListaSet(np.asarray(ids), surfaces, cfg.statistic, skipped)

@@ -1,13 +1,13 @@
-"""Dense all-pairs reference for the network pair tables (test-only).
+"""Dense all-pairs reference for the network pair engine (test-only).
 
-The package evaluates the equidistant count m(u, d) only for pairs whose
-distance d can reach a lag.  This module keeps the plain rule it must
-reproduce: one Dijkstra per origin for the distances, a second one inside
-each ``equidistant_counts`` call, and m evaluated for every ordered pair,
-however far apart.  ``dense_pair_tables`` and ``dense_cross_tables`` take
-and return what ``stpoint.summaries._pair_tables`` and ``_cross_tables``
-do, for network patterns, so a test can swap them in and run the unchanged
-accumulators on top.
+The package lists only the pairs some lag can see, and evaluates the
+equidistant count m(u, d) only for pairs whose distance d can reach a
+lag.  This module keeps the plain rule it must reproduce: one Dijkstra per
+origin for the distances, a second one inside each ``equidistant_counts``
+call, and m evaluated for every ordered pair, however far apart.
+``dense_pairs`` takes and returns what ``stpoint.summaries._pairs`` does,
+for network patterns, but lists every ordered pair, so a test can swap it
+in and run the unchanged accumulators on top.
 """
 
 import numpy as np
@@ -35,35 +35,13 @@ def dense_distances(net, seg, off):
     return out
 
 
-def dense_pair_tables(pattern, lam, cfg):
-    """(dist, dt, contrib, skipped) for ordered pairs of a network pattern."""
-    n = pattern.n
-    t = pattern.t
-    net = pattern.network
-    dt = np.abs(t[:, None] - t[None, :])
-    inv = 1.0 / (lam[:, None] * lam[None, :])
-    dist = dense_distances(net, pattern.net_seg, pattern.net_off)
-    m_l = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        origin = (int(pattern.net_seg[i]), float(pattern.net_off[i]))
-        dv = point_vertex_distances(net, origin)
-        m_l[i] = equidistant_counts(net, origin, dist[i], dv=dv)
-    m_t = temporal_multiplicity(pattern.interval, t[:, None], dt)
-    dead = (m_l == 0) | (m_t == 0)
-    np.fill_diagonal(dead, False)
-    skipped = int(dead.sum())
-    denom = (m_l * m_t).astype(float)
-    denom[denom == 0] = 1.0
-    contrib = inv / denom
-    contrib[dead] = 0.0
-    dist[dead] = np.inf
-    np.fill_diagonal(contrib, 0.0)
-    np.fill_diagonal(dist, np.inf)
-    return dist, dt, contrib, skipped
+def dense_pairs(X, Z, cfg, lam=None):
+    """Every ordered pair (x_i, z_j) of two network patterns, flat.
 
-
-def dense_cross_tables(X, Z, cfg):
-    """(dist, dt, base, dead) for pairs (x_i, z_j) of two network patterns."""
+    Same contract as ``stpoint.summaries._pairs`` except that no pair is
+    left out: (i, j, d, dt, w, skipped) in row-major order, i != j when
+    ``Z is X``, with dead pairs at weight 0 and distance +inf.
+    """
     net = X.network
     dt = np.abs(X.t[:, None] - Z.t[None, :])
     ends_u = net.segments[Z.net_seg, 0]
@@ -81,9 +59,15 @@ def dense_cross_tables(X, Z, cfg):
         m_l[i] = equidistant_counts(net, origin, d, dv=dv)
     m_t = temporal_multiplicity(X.interval, X.t[:, None], dt)
     dead = (m_l == 0) | (m_t == 0)
+    listed = np.ones(dead.shape, dtype=bool)
+    if Z is X:
+        np.fill_diagonal(dead, False)
+        np.fill_diagonal(listed, False)
     denom = (m_l * m_t).astype(float)
-    denom[denom == 0] = 1.0
-    base = 1.0 / denom
-    base[dead] = 0.0
+    denom[dead] = 1.0
+    num = 1.0 if lam is None else 1.0 / (lam[:, None] * lam[None, :])
+    w = num / denom
+    w[dead] = 0.0
     dist[dead] = np.inf
-    return dist, dt, base, dead
+    i, j = np.nonzero(listed)
+    return i, j, dist[i, j], dt[i, j], w[i, j], int(dead.sum())

@@ -12,9 +12,11 @@ import pytest
 
 from stpoint import (
     IntensitySpec,
+    LinearNetwork,
     LocalTestResult,
     PointPattern,
     SpatialWindow,
+    SummaryConfig,
     TimeInterval,
     globaldiag,
     infl,
@@ -266,3 +268,22 @@ def test_infl_empty_when_nothing_flagged(unit_window, unit_interval):
     )
     res = localdiag(pat, 2.0, p=0.9)
     assert len(infl(res)) == 0
+
+
+def test_infl_carries_skipped_pairs():
+    # two segments with no path between them: the 4 ordered cross pairs
+    # are unreachable, as in test_network_k_disconnected_components_by_hand
+    net = LinearNetwork(
+        np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [2.0, 5.0]]), np.array([[0, 1], [2, 3]])
+    )
+    pat = PointPattern(
+        np.array([[1.0, 0.0, 0.4], [0.8, 5.0, 0.5], [1.2, 5.0, 0.6]]),
+        SpatialWindow(0.0, 2.0, 0.0, 5.0), TimeInterval(0.0, 1.0), {}, net,
+        np.array([0, 1, 1]), np.array([1.0, 0.8, 1.2]),
+    )
+    cfg = SummaryConfig(rs=np.array([0.2, 0.4, 0.6]), hs=np.array([0.05, 0.1, 0.2]))
+    res = localdiag(pat, 1.0, p=0.5, config=cfg)
+    assert res.listas.skipped_pairs == 4
+    assert infl(res).skipped_pairs == 4
+    assert infl(res, ids=[2, 3]).skipped_pairs == 4
+    assert infl(res, ids=[]).skipped_pairs == 4

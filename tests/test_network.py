@@ -20,6 +20,7 @@ from stpoint import (
     point_vertex_distances,
     snap_to_network,
 )
+from stpoint.network import VERTEX_TOL, _segment_tables
 
 
 def path_graph():
@@ -193,6 +194,49 @@ def test_nan_offset_rejected(cycle_network):
         point_vertex_distances(cycle_network, (0, np.nan))
     with pytest.raises(ValueError, match="offset outside segment"):
         network_distance(cycle_network, (0, np.nan), (2, 0.5))
+
+
+def unfiltered_counts(net, point, rs):
+    """The count rule over every (sub)segment and every reachable vertex."""
+    rs = np.asarray(rs, dtype=float)
+    dv = point_vertex_distances(net, point)
+    da, db, ell = _segment_tables(net, point, dv)
+    ok = np.isfinite(da)
+    da, db, ell = da[ok], db[ok], ell[ok]
+    tol = VERTEX_TOL
+    r = rs[None, :]
+    s1 = r - da[:, None]
+    s2 = ell[:, None] + db[:, None] - r
+    sstar = ((db + ell - da) / 2.0)[:, None]
+    asc = (s1 > tol) & (s1 < ell[:, None] - tol) & (s1 <= sstar + tol)
+    desc = (s2 > tol) & (s2 < ell[:, None] - tol) & (s2 >= sstar - tol)
+    both = asc & desc & (np.abs(s1 - s2) <= tol)
+    interior = asc.sum(axis=0) + desc.sum(axis=0) - both.sum(axis=0)
+    hits = np.abs(dv[np.isfinite(dv)][:, None] - r) <= tol
+    counts = interior + hits.sum(axis=0)
+    counts[rs <= tol] = 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["grid_network", "cycle_network"])
+def test_equidistant_counts_match_unfiltered_rule_at_ties(request, name):
+    # origins at vertices, midpoints and random offsets; each lag set ends on
+    # a realised vertex distance or half-segment multiple, where the reach
+    # filter's boundary cases sit
+    net = request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    origins = [(s, f * net.lengths[s]) for s in range(len(net.segments)) for f in (0.0, 0.5, 1.0)]
+    origins += [(int(s), float(rng.uniform(0.0, net.lengths[s]))) for s in rng.integers(len(net.segments), size=12)]
+    most = 0
+    for point in origins:
+        dv = point_vertex_distances(net, point)
+        ties = np.unique(np.concatenate([dv[np.isfinite(dv)], 0.5 * np.arange(1, 9)]))
+        for rmax in ties:
+            rs = ties[ties <= rmax]
+            got = equidistant_counts(net, point, rs)
+            assert np.array_equal(got, unfiltered_counts(net, point, rs))
+            most = max(most, int(got.max()))
+    assert most >= 2  # the lags do cross segments
 
 
 def sampled_level_density(net, point, r, spacing=2e-4, eps=2e-3):

@@ -1,8 +1,9 @@
 """Network pair tables against the dense all-pairs reference.
 
-The package evaluates equidistant counts only for pairs within the lag
-reach (r_max for K, r_max + b_r for g).  Swapping the dense reference of
-``network_reference`` in for the internal table functions must leave every
+The package lists only pairs within the lag reach (r_max and h_max for K,
+plus b_r and b_h for g) and evaluates equidistant counts only for them.
+Swapping the dense reference of ``network_reference``, which lists every
+ordered pair, in for the internal pair function must leave every
 K and g surface, global and local, every ``skipped_pairs`` count and every
 ``localtest`` p-value bit-identical.  Patterns are random, with a quarter
 of the events placed on vertices or segment midpoints where distances tie.
@@ -24,7 +25,7 @@ from stpoint import (
 )
 from stpoint import diagnostics, summaries
 
-from network_reference import dense_cross_tables, dense_distances, dense_pair_tables
+from network_reference import dense_distances, dense_pairs
 
 UNIT_T = TimeInterval(0.0, 1.0)
 NETWORKS = ["grid_network", "cycle_network", "two_components"]
@@ -70,7 +71,7 @@ def test_surfaces_match_dense_reference(request, monkeypatch, name, statistic, r
         lam = rng.uniform(0.5, 2.0, pat.n)
         got = surfaces(pat, lam, cfg)
         with monkeypatch.context() as m:
-            m.setattr(summaries, "_pair_tables", dense_pair_tables)
+            m.setattr(summaries, "_pairs", dense_pairs)
             want = surfaces(pat, lam, cfg)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -85,8 +86,7 @@ def test_localtest_matches_dense_reference(request, monkeypatch, name, method):
     Z = random_pattern(net, 20, rng)
     got = localtest(X, Z, method, k=19, seed=11).pvalues
     with monkeypatch.context() as m:
-        m.setattr(diagnostics, "_pair_tables", dense_pair_tables)
-        m.setattr(diagnostics, "_cross_tables", dense_cross_tables)
+        m.setattr(diagnostics, "_pairs", dense_pairs)
         want = localtest(X, Z, method, k=19, seed=11).pvalues
     assert np.array_equal(got, want)
 
@@ -110,7 +110,7 @@ def test_disconnected_skipped_pairs_match_dense_reference(monkeypatch, two_compo
     cfg = SummaryConfig(rs=np.array([0.2, 0.4, 0.6]), hs=np.array([0.05, 0.1, 0.2]))
     got = second_order_global(pat, 1.0, cfg)
     with monkeypatch.context() as m:
-        m.setattr(summaries, "_pair_tables", dense_pair_tables)
+        m.setattr(summaries, "_pairs", dense_pairs)
         want = second_order_global(pat, 1.0, cfg)
     assert got.skipped_pairs == want.skipped_pairs == 4
     assert np.array_equal(got.est, want.est)

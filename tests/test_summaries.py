@@ -7,6 +7,7 @@ global one at every grid node.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpoint import (
+    IntensitySpec,
     LinearNetwork,
     PointPattern,
     SpatialWindow,
@@ -22,6 +24,7 @@ from stpoint import (
     pattern_from_table,
     second_order_global,
     second_order_local,
+    sim_poisson,
 )
 from stpoint.summaries import resolve_config
 
@@ -255,6 +258,59 @@ def test_network_k_row_order_invariant(grid_network, events, data):
     assert a.skipped_pairs == b.skipped_pairs
     # two summation orders, each within the bound of the exact sum
     assert np.abs(a.est - b.est).max() <= 2.0 * sum_bound(pat.n, a.est)
+
+
+# planar events on the unit cube: (x, y, t, intensity); some sit exactly on
+# the window and interval edges or on the half-way lines
+edge_coord = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+planar_events = st.lists(
+    st.tuples(edge_coord, edge_coord, edge_coord, st.floats(0.5, 4.0)),
+    min_size=1,
+    max_size=30,
+)
+
+
+def planar_pattern(events):
+    coords = np.array([e[:3] for e in events], dtype=float)
+    return PointPattern(coords, UNIT_W, UNIT_T), np.array([e[3] for e in events])
+
+
+@pytest.mark.parametrize("statistic", ["K", "g"])
+@settings(max_examples=40, deadline=None)
+@given(events=planar_events)
+def test_planar_local_mean_is_global(statistic, events):
+    pat, lam = planar_pattern(events)
+    cfg = SummaryConfig(statistic=statistic)
+    glob = second_order_global(pat, lam, cfg)
+    mean = second_order_local(pat, lam, cfg).mean_surface().est
+    assert np.abs(mean - glob.est).max() <= sum_bound(pat.n, glob.est)
+
+
+@pytest.mark.parametrize("statistic", ["K", "g"])
+@settings(max_examples=40, deadline=None)
+@given(events=planar_events, data=st.data())
+def test_planar_row_order_invariant(statistic, events, data):
+    pat, lam = planar_pattern(events)
+    perm = np.array(data.draw(st.permutations(range(pat.n))))
+    cfg = SummaryConfig(statistic=statistic)
+    a = second_order_global(pat, lam, cfg)
+    b = second_order_global(pat.subset(perm), lam[perm], cfg)
+    # two summation orders, each within the bound of the exact sum
+    assert np.abs(a.est - b.est).max() <= 2.0 * sum_bound(pat.n, a.est)
+
+
+def test_pcf_memory_fence():
+    # only pairs within the lag reach are built: a dense (n^2, grid) kernel
+    # table would need about 3 GB here
+    pat = sim_poisson(IntensitySpec.constant(3000.0), window=UNIT_W, interval=UNIT_T, seed=0)
+    assert 2800 < pat.n < 3200
+    tracemalloc.start()
+    try:
+        second_order_global(pat, float(pat.n), SummaryConfig(statistic="g"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
 
 
 def test_two_points_symmetric_locals():
