@@ -25,6 +25,7 @@ from .summaries import (
     ListaSet,
     SummaryConfig,
     SummarySurface,
+    _canonical_order,
     _lag_sums,
     _pairs,
     _theoretical,
@@ -120,11 +121,11 @@ def localtest(
     if nX < 1 or nZ < 2:
         raise ValueError("background needs >= 1 event, alternative >= 2")
     scale = X.volume / nX
-    # canonical event orders, as in globaldiag: each event's random stream
-    # and partner pool follow the events, not their input rows
-    order = np.lexsort((X.y, X.x, X.t))
+    # canonical event orders, as in the summaries: each event's random
+    # stream and partner pool follow the events, not their input rows
+    order = _canonical_order(X)
     X = X.subset(order)
-    Z = Z.subset(np.lexsort((Z.y, Z.x, Z.t)))
+    Z = Z.subset(_canonical_order(Z))
 
     # X against the pooled events [X, Z]: each origin's in-range partner
     # rows; the pair (x_i, x_i) is listed too, but no partner set holds it
@@ -193,13 +194,7 @@ def globaldiag(pattern: PointPattern, lam, config: Optional[SummaryConfig] = Non
             rcfg.rs, rcfg.hs, np.zeros_like(theo), theo, "K", 0
         )
     else:
-        # canonical event order: bin sums then accumulate in one fixed
-        # sequence, so the scalar does not change with input row order
-        order = np.lexsort((pattern.y, pattern.x, pattern.t))
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape == (pattern.n,):
-            lam = lam[order]
-        surface = second_order_global(pattern.subset(order), lam, cfg)
+        surface = second_order_global(pattern, lam, cfg)
     disc = float(np.sum((surface.est - surface.theo) ** 2))
     return GlobalDiagResult(surface, disc)
 

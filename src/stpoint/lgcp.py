@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import PointPattern, SpatialWindow, TimeInterval
 from .fit import FittedPoissonModel, LocalPoissonFit, locstppm, stppm
-from .optimize import nelder_mead
+from .optimize import _lockstep
 from .summaries import SummaryConfig, second_order_global, second_order_local
 
 __all__ = [
@@ -54,24 +54,45 @@ def cov_eval(family: str, params: dict, r, h) -> np.ndarray:
     sigma = float(params["sigma"])
     alpha = float(params["alpha"])
     beta = float(params["beta"])
-    if sigma < 0 or alpha <= 0 or beta <= 0:
+    # written so that NaN fails too
+    if not (sigma >= 0 and alpha > 0 and beta > 0):
         raise ValueError("sigma must be >= 0 and alpha, beta > 0")
+    return _cov(family, _shape_params(family, params), sigma, alpha, beta, r, h)
+
+
+def _shape_params(family: str, params: dict) -> dict:
+    """The family's validated shape parameters, defaults filled in."""
     if family == "separable-exponential":
-        return sigma**2 * np.exp(-r / alpha) * np.exp(-h / beta)
+        return {}
     if family == "gneiting":
         delta = float(params.get("delta", 1.0))
         if not 0.0 <= delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
-        denom = 1.0 + h / beta
-        return sigma**2 / denom * np.exp(-(r / alpha) / denom ** (delta / 2.0))
+        return {"delta": delta}
     if family == "iaco-cesare":
-        k1 = float(params.get("kappa1", 2.0))
-        k2 = float(params.get("kappa2", 2.0))
-        k3 = float(params.get("kappa3", 1.5))
-        if min(k1, k2, k3) <= 0:
+        defaults = (("kappa1", 2.0), ("kappa2", 2.0), ("kappa3", 1.5))
+        kappa = {k: float(params.get(k, d)) for k, d in defaults}
+        if not all(v > 0 for v in kappa.values()):
             raise ValueError("kappa exponents must be positive")
-        return sigma**2 * (1.0 + (r / alpha) ** k1 + (h / beta) ** k2) ** (-k3)
+        return kappa
     raise ValueError(f"unknown covariance family {family!r}; choose from {COV_FAMILIES}")
+
+
+def _cov(family, shape, sigma, alpha, beta, r, h):
+    """C(r, h) with sigma, alpha, beta broadcast against r and h; no checks.
+
+    The variance comes from libm pow, as Python's float power gives it
+    (numpy squares by multiplication, which can round differently), so
+    array and scalar parameters give the same bits.
+    """
+    var = np.float_power(sigma, 2.0)
+    if family == "separable-exponential":
+        return var * np.exp(-r / alpha) * np.exp(-h / beta)
+    if family == "gneiting":
+        denom = 1.0 + h / beta
+        return var / denom * np.exp(-(r / alpha) / denom ** (shape["delta"] / 2.0))
+    k1, k2, k3 = shape["kappa1"], shape["kappa2"], shape["kappa3"]
+    return var * (1.0 + (r / alpha) ** k1 + (h / beta) ** k2) ** (-k3)
 
 
 @dataclass(frozen=True)
@@ -89,11 +110,7 @@ class MinContrastResult:
         return f"minimum contrast [{self.family}]: {vals}{flag}"
 
 
-def _pcf_model(family, extras, logpsi, r_grid, h_grid):
-    sigma, alpha, beta = np.exp(logpsi)
-    params = {"sigma": sigma, "alpha": alpha, "beta": beta, **extras}
-    c = cov_eval(family, params, r_grid, h_grid)
-    return np.exp(np.minimum(c, 700.0))
+_JITTERS = (0.0, 0.5, -0.5)  # restarts from the initial log parameters
 
 
 def min_contrast(
@@ -111,29 +128,56 @@ def min_contrast(
     Nelder-Mead on log parameters, restarting from 3 deterministic
     jitters of the initial point and keeping the best.  A fit pinned to
     the parameter box (e.g. for a flat surface ghat = 1 driving sigma to
-    0) is flagged ``boundary``.
+    0) is flagged ``boundary``.  Estimates and weights must be finite.
+
+    This is the one-surface case of the batched fit that
+    ``stlgcppm(second="local")`` runs over all its local surfaces at once;
+    each of those fits is identical to a ``min_contrast`` call.
     """
-    rs = np.asarray(surface.rs, dtype=float)
-    hs = np.asarray(surface.hs, dtype=float)
     ghat = np.asarray(surface.est, dtype=float)
-    if ghat.shape != (len(rs), len(hs)):
+    return _min_contrast_batch(
+        surface.rs, surface.hs, ghat[None], family, q, weights, init, extras, diam_tol
+    )[0]
+
+
+def _min_contrast_batch(
+    rs, hs, ests, family, q=0.5, weights=None, init=None, extras=None, diam_tol=1e-8
+):
+    """Minimum contrast for a stack of surfaces ests (S, len(rs), len(hs)).
+
+    All S x 3 (surface, jitter) searches run in one lockstep simplex
+    search; ``weights`` is shared by the surfaces.  Returns a tuple of S
+    results, each as a lone fit of its surface would give it.
+    """
+    rs = np.asarray(rs, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    ests = np.asarray(ests, dtype=float)
+    if ests.shape[1:] != (len(rs), len(hs)):
         raise ValueError("surface estimate shape does not match the lag grids")
-    if (ghat < 0).any():
-        raise ValueError("pair-correlation estimates must be nonnegative")
+    if not np.isfinite(ests).all() or (ests < 0).any():
+        raise ValueError("pair-correlation estimates must be finite and nonnegative")
     if weights is None:
-        weights = np.ones_like(ghat)
+        weights = np.ones(ests.shape[1:])
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != ghat.shape or (weights < 0).any():
-        raise ValueError("weights must be nonnegative and match the surface")
+    if weights.shape != ests.shape[1:] or not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("weights must be finite, nonnegative and match the surface")
     extras = dict(extras or {})
+    shape = _shape_params(family, extras)
 
     r_grid = rs[:, None] * np.ones_like(hs)[None, :]
     h_grid = np.ones_like(rs)[:, None] * hs[None, :]
-    ghat_q = ghat**q
+    ghat_q = ests**q
+    n_surf, n_jit = len(ests), len(_JITTERS)
+    surface_of = np.repeat(np.arange(n_surf), n_jit)
 
-    def objective(logpsi):
-        g = _pcf_model(family, extras, logpsi, r_grid, h_grid)
-        return float(np.sum(weights * (ghat_q - g**q) ** 2))
+    def objective(rows, logpsi):
+        sigma, alpha, beta = (v[:, None, None] for v in np.exp(logpsi).T)
+        c = _cov(family, shape, sigma, alpha, beta, r_grid, h_grid)
+        g = np.exp(np.minimum(c, 700.0))
+        resid = weights * (ghat_q[surface_of[rows]] - g**q) ** 2
+        # one contiguous row per point: the same summation as np.sum on
+        # a single surface
+        return resid.reshape(len(rows), -1).sum(axis=1)
 
     if init is None:
         init = {"sigma": 1.0, "alpha": float(np.median(rs)), "beta": float(np.median(hs))}
@@ -144,28 +188,33 @@ def min_contrast(
     hi = np.array(
         [_LOG_BOUND, math.log(np.median(rs)) + _LOG_BOUND, math.log(np.median(hs)) + _LOG_BOUND]
     )
+    starts = np.tile(x0 + np.array(_JITTERS)[:, None], (n_surf, 1))
+    # step 0.5 and at most 2000 iterations, nelder_mead's defaults
+    x, fun, n_iter, converged = _lockstep(objective, starts, 0.5, lo, hi, diam_tol, 2000)
 
-    best = None
-    iters = 0
-    for jitter in (0.0, 0.5, -0.5):
-        res = nelder_mead(
-            objective, x0 + jitter, bounds=(lo, hi), diam_tol=diam_tol
-        )
-        iters += res.n_iter
-        if best is None or res.fun < best.fun:
-            best = res
-    sigma, alpha, beta = np.exp(best.x)
+    # the best jitter per surface; an earlier one wins ties
+    runs = fun.reshape(n_surf, n_jit)
+    pick = np.zeros(n_surf, dtype=np.int64)
+    for j in range(1, n_jit):
+        pick[runs[:, j] < runs[np.arange(n_surf), pick]] = j
+    best = np.arange(n_surf) * n_jit + pick
+    x, fun, converged = x[best], fun[best], converged[best]
+    n_iter = n_iter.reshape(n_surf, n_jit).sum(axis=1)
+    params = np.exp(x)
     # one log unit of slack: near the sigma floor the contrast is flat to
     # machine zero (any sigma below ~sqrt(eps) fits ghat = 1 exactly), so
     # the simplex can collapse just short of the edge itself
-    at_edge = bool(np.any(best.x <= lo + 1.0) or np.any(best.x >= hi - 1.0))
-    return MinContrastResult(
-        family,
-        {"sigma": float(sigma), "alpha": float(alpha), "beta": float(beta), **extras},
-        float(best.fun),
-        iters,
-        best.converged,
-        at_edge,
+    at_edge = np.any(x <= lo + 1.0, axis=1) | np.any(x >= hi - 1.0, axis=1)
+    return tuple(
+        MinContrastResult(
+            family,
+            {"sigma": float(p[0]), "alpha": float(p[1]), "beta": float(p[2]), **extras},
+            float(fun[k]),
+            int(n_iter[k]),
+            bool(converged[k]),
+            bool(at_edge[k]),
+        )
+        for k, p in enumerate(params)
     )
 
 
@@ -241,7 +290,9 @@ def stlgcppm(
     ``first`` and ``second`` choose global or local estimation for each
     step.  The empirical pair correlation is weighted by the fitted
     intensity from step one; local second-order fits run one minimum
-    contrast per event on its local surface.
+    contrast per event on its local surface.  Those fits are batched into
+    one lockstep simplex search, and each is identical to a lone
+    ``min_contrast`` call on its surface.
     """
     if family not in COV_FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
@@ -261,21 +312,17 @@ def stlgcppm(
     cfg = config if config is not None else SummaryConfig()
     if cfg.statistic != "g":
         cfg = replace(cfg, statistic="g")
+    # pair-correlation estimates can round below zero; floor them
     if second == "global":
         surf = second_order_global(pattern, lam, cfg)
-        sfit = min_contrast(_clipped(surf), family=family)
+        sfit = min_contrast(replace(surf, est=np.maximum(surf.est, 0.0)), family=family)
     else:
         listas = second_order_local(pattern, lam, cfg)
-        sfit = tuple(
-            min_contrast(_clipped(s), family=family) for s in listas.surfaces
-        )
+        s0 = listas.surfaces[0]
+        ests = np.maximum(np.stack([s.est for s in listas.surfaces]), 0.0)
+        sfit = _min_contrast_batch(s0.rs, s0.hs, ests, family)
     elapsed = time.perf_counter() - started
     return LgcpFit(family, first, second, ffit, sfit, lam, elapsed)
-
-
-def _clipped(surface):
-    """Pair-correlation estimates can round below zero; floor them."""
-    return replace(surface, est=np.maximum(surface.est, 0.0))
 
 
 def sim_lgcp(

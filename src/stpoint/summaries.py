@@ -153,6 +153,18 @@ def _check_lam(pattern, lam) -> np.ndarray:
     return lam
 
 
+def _canonical_order(pattern, lam=None) -> np.ndarray:
+    """Row order by (t, x, y), ties broken by network position, then lam.
+
+    Pair sums taken in this order do not depend on the input row order:
+    rows that agree in every key contribute alike.
+    """
+    keys = [] if lam is None else [lam]
+    if pattern.network is not None:
+        keys += [pattern.net_off, pattern.net_seg]
+    return np.lexsort((*keys, pattern.y, pattern.x, pattern.t))
+
+
 _BLOCK = 128  # time-sorted origins per block of the planar sweep
 
 
@@ -288,19 +300,27 @@ def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
 def second_order_global(pattern, lam, config=None) -> SummarySurface:
     """Global inhomogeneous K or pair-correlation surface.
 
-    A single-event pattern has no pairs and yields the all-zero estimate.
+    Events are summed in canonical (t, x, y) order, so the surface does not
+    depend on the input row order.  A single-event pattern has no pairs
+    and yields the all-zero estimate.
     """
     if pattern.n < 1:
         raise ValueError("need at least 1 event")
     cfg = resolve_config(pattern, config)
     lam = _check_lam(pattern, lam)
+    order = _canonical_order(pattern, lam)
+    pattern, lam = pattern.subset(order), lam[order]
     _, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
     est = _lag_sums(pattern, cfg, _global_prefactor(pattern, lam, cfg), d, dt, w)[0]
     return SummarySurface(cfg.rs, cfg.hs, est, _theoretical(pattern, cfg), cfg.statistic, skipped)
 
 
 def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
-    """Local surfaces (one per event); their mean equals the global surface."""
+    """Local surfaces (one per event); their mean equals the global surface.
+
+    Surfaces come in input row order, each summed as in
+    ``second_order_global``, so permuting the rows permutes the surfaces.
+    """
     if pattern.n < 1:
         raise ValueError("need at least 1 event")
     cfg = resolve_config(pattern, config)
@@ -312,9 +332,14 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0 or ids.min() < 1 or ids.max() > n:
             raise ValueError("ids must be 1-based event numbers")
+    order = _canonical_order(pattern, lam)
+    pattern, lam = pattern.subset(order), lam[order]
     i, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
     pref = _global_prefactor(pattern, lam, cfg) * n
-    est = _lag_sums(pattern, cfg, pref, d, dt, w, i, n)[ids - 1]
+    est = _lag_sums(pattern, cfg, pref, d, dt, w, i, n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    est = est[rank[ids - 1]]
     theo = _theoretical(pattern, cfg)
     surfaces = tuple(SummarySurface(cfg.rs, cfg.hs, e, theo, cfg.statistic) for e in est)
     return ListaSet(np.asarray(ids), surfaces, cfg.statistic, skipped)

@@ -6,6 +6,7 @@ the simulator against moment identities of the log-normal mixing field.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from stpoint import (
     cov_eval,
     locstppm,
     min_contrast,
+    second_order_global,
+    second_order_local,
     sim_lgcp,
     sim_poisson,
     stlgcppm,
@@ -131,6 +134,29 @@ def test_min_contrast_validation():
         min_contrast(surf, weights=np.ones((2, 2)))
 
 
+def test_cov_eval_rejects_nan_parameters():
+    good = {"sigma": 1.0, "alpha": 0.2, "beta": 0.2}
+    for key in ("sigma", "alpha", "beta"):
+        with pytest.raises(ValueError, match="sigma must be"):
+            cov_eval("separable-exponential", {**good, key: float("nan")}, 0.1, 0.1)
+    with pytest.raises(ValueError, match="kappa"):
+        cov_eval("iaco-cesare", {**good, "kappa3": float("nan")}, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_min_contrast_rejects_non_finite_surfaces(bad):
+    pat = sim_poisson(500.0, seed=3)
+    surf = second_order_global(pat, pat.n / pat.volume, SummaryConfig(statistic="g"))
+    est = surf.est.copy()
+    est[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        min_contrast(replace(surf, est=est))
+    weights = np.ones_like(est)
+    weights[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        min_contrast(replace(surf, est=np.maximum(surf.est, 0.0)), weights=weights)
+
+
 def test_lgcp_counts_average_to_lam0():
     lam0 = 80.0
     counts = np.array(
@@ -200,6 +226,17 @@ def test_local_second_order_gives_per_event_parameters():
     assert np.isfinite(table).all()
     with pytest.raises(ValueError, match="local second-order"):
         fit.params
+
+
+@pytest.mark.parametrize("family", COV_FAMILIES)
+def test_local_second_order_equals_lone_fits(family):
+    # the batched local fits are bit for bit the per-event min_contrast fits
+    pat = sim_lgcp(lam0=40.0, grid=(4, 4, 3), seed=17)
+    cfg = SummaryConfig(rs=np.linspace(0.05, 0.25, 4), hs=np.linspace(0.05, 0.25, 4))
+    fit = stlgcppm(pat, "~1", family=family, second="local", config=cfg)
+    listas = second_order_local(pat, fit.intensity, replace(cfg, statistic="g"))
+    for got, surf in zip(fit.second_fit, listas.surfaces):
+        assert got == min_contrast(replace(surf, est=np.maximum(surf.est, 0.0)), family=family)
 
 
 def test_stlgcppm_validation(poisson100):

@@ -91,13 +91,18 @@ def test_planar_surfaces_match_dense_accumulators(statistic, correction, events,
         pat, SummaryConfig(statistic=statistic, correction=correction, **GRIDS[grid])
     )
     glob, loc = surfaces(pat, lam, cfg)
-    i, _, d, dt, w, _ = dense_pairs(pat, pat, cfg, lam)
+    # the surfaces sum their pairs in canonical event order; local surface
+    # k of the sorted pattern belongs to input row order[k]
+    order = summaries._canonical_order(pat, lam)
+    srt = pat.subset(order)
+    i, _, d, dt, w, _ = dense_pairs(srt, srt, cfg, lam[order])
     pref = 1.0 / pat.volume
     if statistic == "K":
         assert np.array_equal(glob, dense_k(d, dt, w, cfg) * pref)
         for k in range(pat.n):
             row = i == k
-            assert np.array_equal(loc[k], dense_k(d[row], dt[row], w[row], cfg) * pref * pat.n)
+            want = dense_k(d[row], dt[row], w[row], cfg) * pref * pat.n
+            assert np.array_equal(loc[order[k]], want)
         return
     unit = (pref / (4.0 * math.pi * cfg.rs))[:, None]
     want = dense_g(d, dt, w, cfg) * unit
@@ -105,7 +110,7 @@ def test_planar_surfaces_match_dense_accumulators(statistic, correction, events,
     for k in range(pat.n):
         row = i == k
         want = dense_g(d[row], dt[row], w[row], cfg) * unit * pat.n
-        assert np.abs(loc[k] - want).max() <= sum_bound(pat.n, want)
+        assert np.abs(loc[order[k]] - want).max() <= sum_bound(pat.n, want)
 
 
 @pytest.mark.parametrize("method", ["K", "g"])

@@ -26,6 +26,7 @@ from stpoint import (
     second_order_local,
     sim_poisson,
 )
+from stpoint import summaries
 from stpoint.summaries import resolve_config
 
 UNIT_W = SpatialWindow(0.0, 1.0, 0.0, 1.0)
@@ -248,16 +249,34 @@ def test_network_k_local_mean_is_global(grid_network, events):
     assert np.abs(mean - glob.est).max() <= sum_bound(pat.n, glob.est)
 
 
+def assert_permutation_invariant(pat, lam, perm, cfg=None):
+    """Global surfaces bit-identical, local ones permuted with the rows."""
+    a = second_order_global(pat, lam, cfg)
+    b = second_order_global(pat.subset(perm), lam[perm], cfg)
+    assert a.skipped_pairs == b.skipped_pairs
+    assert np.array_equal(a.est, b.est)
+    la = second_order_local(pat, lam, cfg)
+    lb = second_order_local(pat.subset(perm), lam[perm], cfg)
+    assert la.skipped_pairs == lb.skipped_pairs
+    assert np.array_equal(
+        np.array([s.est for s in la.surfaces])[perm], np.array([s.est for s in lb.surfaces])
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(events=network_events, data=st.data())
 def test_network_k_row_order_invariant(grid_network, events, data):
     pat, lam = network_pattern(grid_network, events)
     perm = np.array(data.draw(st.permutations(range(pat.n))))
-    a = second_order_global(pat, lam)
-    b = second_order_global(pat.subset(perm), lam[perm])
-    assert a.skipped_pairs == b.skipped_pairs
-    # two summation orders, each within the bound of the exact sum
-    assert np.abs(a.est - b.est).max() <= 2.0 * sum_bound(pat.n, a.est)
+    assert_permutation_invariant(pat, lam, perm)
+
+
+@settings(max_examples=20, deadline=None)
+@given(events=network_events, data=st.data())
+def test_network_pcf_row_order_invariant(grid_network, events, data):
+    pat, lam = network_pattern(grid_network, events)
+    perm = np.array(data.draw(st.permutations(range(pat.n))))
+    assert_permutation_invariant(pat, lam, perm, SummaryConfig(statistic="g"))
 
 
 # planar events on the unit cube: (x, y, t, intensity); some sit exactly on
@@ -292,11 +311,31 @@ def test_planar_local_mean_is_global(statistic, events):
 def test_planar_row_order_invariant(statistic, events, data):
     pat, lam = planar_pattern(events)
     perm = np.array(data.draw(st.permutations(range(pat.n))))
-    cfg = SummaryConfig(statistic=statistic)
-    a = second_order_global(pat, lam, cfg)
-    b = second_order_global(pat.subset(perm), lam[perm], cfg)
-    # two summation orders, each within the bound of the exact sum
-    assert np.abs(a.est - b.est).max() <= 2.0 * sum_bound(pat.n, a.est)
+    assert_permutation_invariant(pat, lam, perm, SummaryConfig(statistic=statistic))
+
+
+@pytest.mark.parametrize("statistic", ["K", "g"])
+def test_coincident_events_row_order_invariant(statistic):
+    # events at one point, with different intensities, are told apart by
+    # their intensity
+    rng = np.random.default_rng(8)
+    coords = np.vstack([np.full((5, 3), 0.5), rng.uniform(0.3, 0.7, (15, 3))])
+    pat = PointPattern(coords, UNIT_W, UNIT_T)
+    lam = rng.uniform(0.5, 4.0, pat.n)
+    for seed in range(5):
+        perm = np.random.default_rng(seed).permutation(pat.n)
+        assert_permutation_invariant(pat, lam, perm, SummaryConfig(statistic=statistic))
+
+
+@pytest.mark.parametrize("statistic", ["K", "g"])
+def test_poisson_row_order_invariant(statistic):
+    pat = sim_poisson(IntensitySpec.constant(500.0), window=UNIT_W, interval=UNIT_T, seed=4)
+    lam = np.random.default_rng(4).uniform(300.0, 700.0, pat.n)
+    perm = np.random.default_rng(5).permutation(pat.n)
+    assert_permutation_invariant(pat, lam, perm, SummaryConfig(statistic=statistic))
+    # simulated patterns come time-sorted with distinct times, so they are
+    # summed in their own row order, as before canonical sorting
+    assert np.array_equal(summaries._canonical_order(pat, lam), np.arange(pat.n))
 
 
 def test_pcf_memory_fence():
