@@ -4,8 +4,12 @@ The latent field S has one of three covariance families; the process pair
 correlation is g(r, h) = exp(C(r, h)).  Second-order parameters are fitted
 by minimum contrast against an empirical pair-correlation surface, on log
 parameters with a bounded simplex search.  A grid-based simulator
-(Cholesky factor of the cell-centre covariance, mean -sigma^2/2 so the
-intensity surface averages to lambda0) provides a recovery oracle.
+provides a recovery oracle.  It draws the field at cell centres with mean
+-sigma^2/2, so the intensity surface averages to lambda0, from a Cholesky
+factor of the cell correlation scaled by sigma (sigma = 0 gives a Poisson
+pattern).  For the separable family that factor is the Kronecker product
+of a time factor and a space factor, each small; the other families take
+a dense factor over all cells.
 
 Covariance families (r spatial lag, h temporal lag):
 
@@ -337,19 +341,35 @@ def sim_lgcp(
 ):
     """Simulate a log-Gaussian Cox pattern on a cell grid.
 
-    The latent field is drawn at cell centres from the family covariance
-    (plus a 1e-8 sigma^2 diagonal nugget) with mean -sigma^2/2, held
-    constant within cells; counts are Poisson(lam0 * exp(S) * cell volume)
-    placed uniformly inside their cells.  Grids are capped at 5000 cells.
+    The latent field S is drawn at cell centres, in (t, y, x) order with x
+    fastest, as -sigma^2/2 + sigma (L_t (x) L_s) z for one standard-normal
+    draw z, and held constant within cells.  Counts are Poisson(lam0 *
+    exp(S) * cell volume), placed uniformly inside their cells.
+
+    L_t and L_s are Cholesky factors of correlation matrices (sigma = 1)
+    with a 1e-8 nugget on the diagonal of the second.  For the separable
+    family they factor the gt x gt time correlation and the (gx gy) x
+    (gx gy) space correlation; for gneiting and iaco-cesare L_t is 1 x 1
+    and L_s factors the full correlation over all cells.  sigma = 0 gives
+    a Poisson pattern, from the same random stream as any other sigma.
+
+    ``grid`` is three positive integers, (gx, gy, gt), with at most 5000
+    cells in all; ``lam0`` must be finite and nonnegative.
     """
     if params is None:
         params = {"sigma": 1.0, "alpha": 0.2, "beta": 0.2}
+    if len(grid) != 3 or not all(float(v).is_integer() and v >= 1 for v in grid):
+        raise ValueError(f"grid must be three positive integers, got {grid!r}")
     gx, gy, gt = (int(v) for v in grid)
     ncell = gx * gy * gt
     if ncell > 5000:
         raise ValueError(f"grid has {ncell} cells; the limit is 5000")
-    if lam0 < 0:
-        raise ValueError("lam0 must be nonnegative")
+    # written so that NaN fails too
+    if not (0 <= lam0 < math.inf):
+        raise ValueError(f"lam0 must be finite and nonnegative, got {lam0!r}")
+    sigma = float(params["sigma"])
+    if not (0 <= sigma < math.inf):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     if window is None:
         window = SpatialWindow(0.0, 1.0, 0.0, 1.0)
     if interval is None:
@@ -365,21 +385,31 @@ def sim_lgcp(
     tt, yy, xx = np.meshgrid(ct, cy, cx, indexing="ij")
     centers = np.column_stack([xx.ravel(), yy.ravel(), tt.ravel()])
 
-    dx = centers[:, 0][:, None] - centers[:, 0][None, :]
-    dy = centers[:, 1][:, None] - centers[:, 1][None, :]
-    dh = np.abs(centers[:, 2][:, None] - centers[:, 2][None, :])
-    dr = np.hypot(dx, dy)
-    sigma = float(params["sigma"])
-    cov = cov_eval(family, params, dr, dh)
-    cov[np.diag_indices_from(cov)] += 1e-8 * sigma**2
+    unit = dict(params, sigma=1.0)
+    if family == "separable-exponential":
+        # in (t, y, x) order the correlation is R_t (x) R_s, R_s taken over
+        # the first time slice
+        corr_t = cov_eval(family, unit, 0.0, np.abs(ct[:, None] - ct[None, :]))
+        cells = centers[: gx * gy]
+        dh = 0.0
+    else:
+        corr_t = np.ones((1, 1))
+        cells = centers
+        dh = np.abs(cells[:, 2][:, None] - cells[:, 2][None, :])
+    dx = cells[:, 0][:, None] - cells[:, 0][None, :]
+    dy = cells[:, 1][:, None] - cells[:, 1][None, :]
+    corr_s = cov_eval(family, unit, np.hypot(dx, dy), dh)
+    corr_s[np.diag_indices_from(corr_s)] += 1e-8
     try:
-        chol = np.linalg.cholesky(cov)
+        chol_t = np.linalg.cholesky(corr_t)
+        chol_s = np.linalg.cholesky(corr_s)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"covariance matrix not positive definite for family {family!r} "
             f"with params {params}"
         )
-    field = -0.5 * sigma**2 + chol @ rng.standard_normal(ncell)
+    z = rng.standard_normal(ncell)
+    field = -0.5 * sigma**2 + sigma * (chol_t @ z.reshape(len(chol_t), -1) @ chol_s.T).ravel()
 
     cellvol = ex * ey * et
     counts = rng.poisson(lam0 * np.exp(field) * cellvol)

@@ -51,9 +51,15 @@ def _lockstep(fn, x0, step, lower, upper, diam_tol, max_iter):
     and converged (E,).
     """
     E, ndim = x0.shape
-    simplex = np.repeat(_clip(x0, lower, upper)[:, None, :], ndim + 1, axis=1)
+    x0 = _clip(x0, lower, upper)
+    # the first simplex steps from the projected start, down on any axis
+    # where a step up would leave the box
+    steps = np.full(x0.shape, float(step))
+    if upper is not None:
+        steps[x0 + step > upper] = -step
+    simplex = np.repeat(x0[:, None, :], ndim + 1, axis=1)
     k = np.arange(ndim)
-    simplex[:, k + 1, k] += step
+    simplex[:, k + 1, k] += steps
     simplex = _clip(simplex, lower, upper)
     rows = np.arange(E)
     values = fn(np.repeat(rows, ndim + 1), simplex.reshape(-1, ndim)).reshape(E, ndim + 1)

@@ -6,6 +6,7 @@ the simulator against moment identities of the log-normal mixing field.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 
 from stpoint import (
     COV_FAMILIES,
+    SpatialWindow,
     SummaryConfig,
+    TimeInterval,
     cov_eval,
     locstppm,
     min_contrast,
@@ -185,6 +188,94 @@ def test_lgcp_simulator_contract():
     b = sim_lgcp(lam0=50.0, grid=(4, 4, 3), seed=3)
     assert np.array_equal(a.coords, b.coords)
     assert np.all(np.diff(a.t) >= 0)
+
+
+def dense_reference_field(family, params, grid, window, interval, seed):
+    """The latent field from a dense Cholesky factor of the full cell covariance."""
+    gx, gy, gt = grid
+    cx = window.x0 + (np.arange(gx) + 0.5) * window.width / gx
+    cy = window.y0 + (np.arange(gy) + 0.5) * window.height / gy
+    ct = interval.t0 + (np.arange(gt) + 0.5) * interval.length / gt
+    tt, yy, xx = (a.ravel() for a in np.meshgrid(ct, cy, cx, indexing="ij"))
+    r = np.hypot(xx[:, None] - xx[None, :], yy[:, None] - yy[None, :])
+    h = np.abs(tt[:, None] - tt[None, :])
+    cov = cov_eval(family, params, r, h)
+    cov[np.diag_indices_from(cov)] += 1e-8 * params["sigma"] ** 2
+    z = np.random.default_rng(seed).standard_normal(len(cov))
+    return (-0.5 * params["sigma"] ** 2 + np.linalg.cholesky(cov) @ z).reshape(gt, gy, gx)
+
+
+SIM_WINDOW = SpatialWindow(-1.0, 1.5, 2.0, 3.2)
+SIM_INTERVAL = TimeInterval(4.0, 7.0)
+
+
+@pytest.mark.parametrize(
+    "family, params, tol",
+    [
+        # the Kronecker factor puts the 1e-8 nugget on the space
+        # correlation only, which moves separable fields by up to ~5e-8
+        ("separable-exponential", {"sigma": 1.2, "alpha": 0.15, "beta": 0.2}, 1e-7),
+        ("separable-exponential", {"sigma": 0.4, "alpha": 1.1, "beta": 2.5}, 1e-7),
+        ("separable-exponential", {"sigma": 2.0, "alpha": 0.05, "beta": 0.6}, 1e-7),
+        ("gneiting", {"sigma": 1.3, "alpha": 0.4, "beta": 0.9}, 1e-10),
+        ("iaco-cesare", {"sigma": 1.3, "alpha": 0.4, "beta": 0.9}, 1e-10),
+    ],
+)
+def test_field_matches_dense_factor(family, params, tol):
+    # a non-square grid on a non-unit window: an x/y mix-up in the space
+    # factor changes the field
+    grid = (5, 4, 3)
+    for seed in (0, 1):
+        _, field = sim_lgcp(
+            family, params, grid=grid, window=SIM_WINDOW, interval=SIM_INTERVAL,
+            seed=seed, return_field=True,
+        )
+        want = dense_reference_field(family, params, grid, SIM_WINDOW, SIM_INTERVAL, seed)
+        assert np.abs(field - want).max() < tol
+
+
+def test_separable_simulator_memory_fence():
+    # a dense covariance over the 3072 cells and its factor took 529 MB
+    params = {"sigma": 1.0, "alpha": 0.1, "beta": 0.1}
+    tracemalloc.start()
+    try:
+        sim_lgcp(params=params, lam0=3200.0, grid=(16, 16, 12), seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_zero_sigma_gives_poisson_from_the_same_stream():
+    zero, field = sim_lgcp(
+        params={"sigma": 0.0, "alpha": 0.2, "beta": 0.2}, lam0=60.0, grid=(5, 4, 3),
+        seed=8, return_field=True,
+    )
+    assert np.array_equal(field, np.zeros((3, 4, 5)))
+    # at sigma = 1e-300 exp(field) rounds to exactly 1: the same counts and
+    # places, so both draw the field before the counts
+    tiny = sim_lgcp(
+        params={"sigma": 1e-300, "alpha": 0.2, "beta": 0.2}, lam0=60.0, grid=(5, 4, 3), seed=8
+    )
+    assert zero.n > 0
+    assert np.array_equal(zero.coords, tiny.coords)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"grid": (0, 5, 5)}, "grid"),
+        ({"grid": (5, 5, 0)}, "grid"),
+        ({"grid": (-1, -1, 5)}, "grid"),
+        ({"grid": (2.7, 3, 3)}, "grid"),
+        ({"lam0": float("nan")}, "lam0"),
+        ({"lam0": float("inf")}, "lam0"),
+        ({"params": {"sigma": float("nan"), "alpha": 0.2, "beta": 0.2}}, "sigma"),
+    ],
+)
+def test_sim_lgcp_rejects_bad_inputs(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        sim_lgcp(seed=0, **kwargs)
 
 
 def test_stlgcppm_recovers_simulated_parameters():

@@ -50,10 +50,11 @@ def test_result_stays_inside_bounds(x0):
         lambda x: float((x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2), x0, bounds=(lower, upper)
     )
     assert np.all(res.x >= lower) and np.all(res.x <= upper)
-    if x0[0] < upper[0]:
-        assert res.x == pytest.approx([1.0, -0.5], abs=1e-6)
-    # a start outside the box is projected onto its corner (1, 0.25), and
-    # so is every vertex of the first simplex: the search stops there
+    # a start outside the box is projected onto its corner (1, 0.25); the
+    # first simplex steps down from there instead of collapsing onto it
+    assert res.converged
+    assert res.x == pytest.approx([1.0, -0.5], abs=1e-6)
+    assert res.fun == pytest.approx(6.25, abs=1e-10)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 7])
