@@ -352,6 +352,10 @@ def sim_lgcp(
     (gx gy) space correlation; for gneiting and iaco-cesare L_t is 1 x 1
     and L_s factors the full correlation over all cells.  sigma = 0 gives
     a Poisson pattern, from the same random stream as any other sigma.
+    The separable time correlation carries no nugget, so it must be
+    positive definite by itself: with more than one time cell, a time
+    spacing dt over beta below about 5e-17 rounds exp(-dt/beta) to 1 and
+    raises the "not positive definite" ValueError.
 
     ``grid`` is three positive integers, (gx, gy, gt), with at most 5000
     cells in all; ``lam0`` must be finite and nonnegative.

@@ -53,10 +53,10 @@ def _lockstep(fn, x0, step, lower, upper, diam_tol, max_iter):
     E, ndim = x0.shape
     x0 = _clip(x0, lower, upper)
     # the first simplex steps from the projected start, down on any axis
-    # where a step up would leave the box
+    # where that start sits on the upper bound
     steps = np.full(x0.shape, float(step))
     if upper is not None:
-        steps[x0 + step > upper] = -step
+        steps[x0 >= upper] = -step
     simplex = np.repeat(x0[:, None, :], ndim + 1, axis=1)
     k = np.arange(ndim)
     simplex[:, k + 1, k] += steps

@@ -30,8 +30,8 @@ def scalar_nelder_mead(fn, x0, step=0.5, bounds=None, diam_tol=1e-8, max_iter=20
     simplex = [x0]
     for k in range(ndim):
         p = x0.copy()
-        # step down where a step up would leave the box
-        p[k] += -step if upper is not None and x0[k] + step > upper[k] else step
+        # step down where the projected start sits on the upper bound
+        p[k] += -step if upper is not None and x0[k] >= upper[k] else step
         simplex.append(_clip(p, lower, upper))
     simplex = np.array(simplex)
     values = np.array([fn(p) for p in simplex])

@@ -278,6 +278,18 @@ def test_sim_lgcp_rejects_bad_inputs(kwargs, match):
         sim_lgcp(seed=0, **kwargs)
 
 
+def test_separable_time_correlation_must_be_positive_definite():
+    # the nugget sits on the space factor only: once exp(-dt/beta) rounds
+    # to 1 at the time spacing dt, the time correlation is all ones
+    params = {"sigma": 1.0, "alpha": 0.2, "beta": 1e17}
+    with pytest.raises(ValueError, match="not positive definite"):
+        sim_lgcp(params=params, grid=(4, 4, 4), seed=0)
+    # one time cell has no time correlation to factor
+    assert sim_lgcp(params=params, grid=(4, 4, 1), seed=0).n > 0
+    # dt/beta = 0.25/4e15 = 6.25e-17 still draws
+    sim_lgcp(params=dict(params, beta=4e15), grid=(4, 4, 4), seed=0)
+
+
 def test_stlgcppm_recovers_simulated_parameters():
     truth = {"sigma": 1.0, "alpha": 0.2, "beta": 0.2}
     pat = sim_lgcp(params=truth, lam0=300.0, grid=(10, 10, 5), seed=11)

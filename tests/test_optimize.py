@@ -57,6 +57,23 @@ def test_result_stays_inside_bounds(x0):
     assert res.fun == pytest.approx(6.25, abs=1e-10)
 
 
+@pytest.mark.parametrize("x0", [[0.0, 0.0], [-1.0, -1.0], [0.3, 0.3], [0.0, 0.3], [2.0, -2.0]])
+def test_box_narrower_than_step(x0):
+    # the box is 0.3 wide and the first step 0.5: a start on or below the
+    # lower bound steps up onto the upper one, a start on or above the upper
+    # bound steps down onto the lower one, so the first simplex spans the
+    # box and the search moves off the projected start
+    lower, upper = np.zeros(2), np.full(2, 0.3)
+
+    def fn(x):
+        return float((x[0] - 0.1) ** 2 + (x[1] - 0.2) ** 2)
+
+    res = nelder_mead(fn, x0, bounds=(lower, upper))
+    assert np.all(res.x >= lower) and np.all(res.x <= upper)
+    assert res.converged and res.n_iter > 0
+    assert res.fun < fn(np.clip(x0, lower, upper))
+
+
 @pytest.mark.parametrize("max_iter", [0, 1, 7])
 def test_iteration_cap(max_iter):
     res = nelder_mead(rosenbrock, [-1.2, 1.0], max_iter=max_iter)
@@ -110,16 +127,21 @@ def same_run(got, want):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_starts=st.integers(1, 8),
-    bounded=st.booleans(),
+    box=st.sampled_from([None, "wide", "narrow"]),
     max_iter=st.sampled_from([3, 40, 2000]),
     fn=st.sampled_from([bumpy, plateau, nan_above]),
 )
-def test_lockstep_rows_equal_single_runs(seed, n_starts, bounded, max_iter, fn):
+def test_lockstep_rows_equal_single_runs(seed, n_starts, box, max_iter, fn):
     rng = np.random.default_rng(seed)
     starts = rng.uniform(-3.0, 3.0, (n_starts, 3))
     starts[0] += (rng.uniform(-0.25, 0.25) - starts[0].sum()) / 3.0  # near the NaN plane
-    bounds = (-np.full(3, 2.0), np.array([2.0, 1.0, 0.5])) if bounded else None
-    lower, upper = bounds if bounded else (None, None)
+    # the narrow box is thinner than the first step on every axis
+    bounds = {
+        None: None,
+        "wide": (-np.full(3, 2.0), np.array([2.0, 1.0, 0.5])),
+        "narrow": (np.array([-0.2, 0.0, 0.1]), np.array([0.1, 0.3, 0.2])),
+    }[box]
+    lower, upper = bounds if bounds is not None else (None, None)
 
     def rows_fn(rows, points):
         return np.array([fn(p) for p in points])
