@@ -748,7 +748,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pattern(fs)
     fs.add_argument("--space-formula", default="~1")
     fs.add_argument("--time-formula", default="~1")
-    fs.add_argument("--nd", help="dummy grid size")
+    fs.add_argument(
+        "--nd", help="k: k x k spatial cells (k arc cells on a network) and k time cells"
+    )
     fs.add_argument("--seed", type=int, required=True)
     _add_out(fs)
     fs.set_defaults(func=_cmd_fit_separable)

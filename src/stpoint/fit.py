@@ -4,14 +4,19 @@ Log-linear Poisson intensity models are fitted by the counting-weight
 cubature scheme: data events plus dummy points tile the domain, each point
 gets weight (cell volume / points in cell), and a weighted Poisson GLM (or
 a logistic approximation with a dummy-intensity offset) maximises the
-discretised likelihood.  Local models refit the same GLM with Gaussian
-kernel weights centred at each event; separable models fit spatial and
-temporal margins independently and renormalise the product.
+discretised likelihood.  One builder makes every such scheme: ``_grid``
+cuts a box into cells, places the dummies and gives every point its cell,
+and ``_counting_weights`` turns cells into weights.  ``make_quadrature``
+uses it on (x, y, t) or (arc, t), ``sep_fit`` on each of its margins.
+Local models refit the same GLM with Gaussian kernel weights centred at
+each event; separable models fit spatial and temporal margins
+independently and renormalise the product.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -79,46 +84,105 @@ class Quadrature:
         return int((~self.is_data).sum())
 
 
-def _impute_marks(pattern: PointPattern, query: np.ndarray, scale: np.ndarray) -> dict:
+# query rows per block times events: about 2^20 squared distances at a time
+_NEAREST_ENTRIES = 1 << 20
+
+
+def _impute_marks(pattern: PointPattern, query: np.ndarray) -> dict:
     """Marks for dummy points: copy from the nearest data event.
 
     Distances are measured in coordinates scaled by the domain extents;
-    ties break toward the lower event index.
+    ties break toward the lower event index.  The nearest event is found
+    over blocks of query rows, so memory stays near 2^20 distances.
     """
     if not pattern.marks:
         return {}
+    w, iv = pattern.window, pattern.interval
+    scale = np.array([w.width, w.height, iv.length])
     pts = pattern.coords / scale
     q = query / scale
-    d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
+    nearest = np.empty(len(q), dtype=np.intp)
+    step = max(1, _NEAREST_ENTRIES // len(pts))
+    for i in range(0, len(q), step):
+        d2 = ((q[i : i + step, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        nearest[i : i + step] = np.argmin(d2, axis=1)
     return {
         name: MarkColumn(col.kind, col.values[nearest], col.levels)
         for name, col in pattern.marks.items()
     }
 
 
+def _with_dummy_marks(pattern: PointPattern, dummies: np.ndarray) -> dict:
+    """The pattern's marks followed by the marks imputed at the dummies."""
+    dmarks = _impute_marks(pattern, dummies)
+    return {
+        name: MarkColumn(
+            col.kind, np.concatenate([col.values, dmarks[name].values]), col.levels
+        )
+        for name, col in pattern.marks.items()
+    }
+
+
+def _grid(data, lo, length, shape, rng=None):
+    """Dummy points on a box grid, and the cell ids of data and dummies.
+
+    The box lo + [0, length] has d axes, cut into shape[k] equal cells on
+    axis k; cells are numbered with the first axis fastest.  With ``rng``
+    each dummy is jittered uniformly within its cell (one (cells, d) draw);
+    without it the dummies sit at the cell centres.  Returns the (cells, d)
+    dummies and the cell id of every row of [data; dummies]; a point on the
+    upper edge of an axis belongs to its last cell.
+    """
+    lo = np.asarray(lo, dtype=float)
+    length = np.asarray(length, dtype=float)
+    shape = np.asarray(shape)
+    cells = np.indices(shape[::-1]).reshape(len(shape), -1)[::-1].T.astype(float)
+    offset = 0.5 if rng is None else rng.random(cells.shape)
+    dummies = lo + (cells + offset) * (length / shape)
+    points = np.vstack([data, dummies])
+    idx = np.clip(((points - lo) / length * shape).astype(int), 0, shape - 1)
+    return dummies, np.ravel_multi_index(idx.T[::-1], shape[::-1])
+
+
+def _counting_weights(cells: np.ndarray, ncell: int, volume: float) -> np.ndarray:
+    """Each point's weight: its cell's volume over the points in the cell."""
+    w_cell = volume / ncell / np.bincount(cells, minlength=ncell).astype(float)
+    return w_cell[cells]
+
+
 def _default_side(n: int) -> int:
     return max(2, math.ceil((4.0 * n) ** (1.0 / 3.0)))
 
 
-def _planar_dummies(pattern, nd, rng):
-    nx, ny, nt = nd
-    w, iv = pattern.window, pattern.interval
-    sizes = np.array([w.width / nx, w.height / ny, iv.length / nt])
-    origin = np.array([w.x0, w.y0, iv.t0])
-    kk, jj, ii = np.meshgrid(np.arange(nt), np.arange(ny), np.arange(nx), indexing="ij")
-    cells = np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()]).astype(float)
-    jitter = rng.random(cells.shape)
-    return origin + (cells + jitter) * sizes
+def _resolve_nd(nd, n: int, network: bool) -> Tuple[int, ...]:
+    """Dummy grid shape: (nx, ny, nt) on a window, (n_arc, nt) on a network.
 
-
-def _planar_cells(pattern, nd, coords):
-    nx, ny, nt = nd
-    w, iv = pattern.window, pattern.interval
-    ix = np.clip(((coords[:, 0] - w.x0) / w.width * nx).astype(int), 0, nx - 1)
-    iy = np.clip(((coords[:, 1] - w.y0) / w.height * ny).astype(int), 0, ny - 1)
-    it = np.clip(((coords[:, 2] - iv.t0) / iv.length * nt).astype(int), 0, nt - 1)
-    return (it * ny + iy) * nx + ix
+    A scalar applies to every axis; on a network a 3-tuple collapses its
+    two spatial entries onto the arc axis.  ``None``, or a grid with fewer
+    than one dummy per 8 data points (with a warning), gives the default
+    rule: k = ceil((4n)^(1/3)) cells on every axis; on a network k time
+    cells and about 4n / k arc cells.
+    """
+    dims = 2 if network else 3
+    if nd is not None:
+        nd = (int(nd),) * dims if np.isscalar(nd) else tuple(int(v) for v in nd)
+        if any(v < 1 for v in nd):
+            raise ValueError("nd entries must be >= 1")
+        if network and len(nd) == 3:
+            nd = (nd[0] * nd[1], nd[2])
+        if len(nd) != dims:
+            raise ValueError(
+                "network nd must be (n_arc, nt)" if network
+                else "planar nd must be (nx, ny, nt)"
+            )
+        if math.prod(nd) * 8 >= n:
+            return nd
+        warnings.warn(
+            f"dummy grid {nd} has fewer than one dummy per 8 data points; "
+            "enlarging to the default rule"
+        )
+    side = _default_side(n)
+    return (max(2, math.ceil(4.0 * n / side)), side) if network else (side,) * 3
 
 
 def make_quadrature(
@@ -129,150 +193,61 @@ def make_quadrature(
 ) -> Quadrature:
     """Counting-weight quadrature over the pattern's domain.
 
-    Planar dummies form an (nx, ny, nt) grid jittered uniformly within
-    cells; network dummies sit equispaced along arc length crossed with a
-    time grid.  Default dummy budget is about 4 data points per dummy cell
+    One grid builder serves every first-order fit.  Planar dummies form an
+    (nx, ny, nt) grid jittered uniformly within cells; network dummies sit
+    at the cell centres of an (n_arc, nt) grid, arc length crossed with
+    time.  Default dummy budget is about 4 data points per dummy cell
     side rule: nx = ny = nt = ceil((4n)^(1/3)).  Fewer than one dummy per 8
-    data points triggers a warning and an enlarged default grid.
+    data points triggers a warning and an enlarged default grid.  Dummy
+    marks copy the nearest data event; ``by_type`` replicates the scheme
+    per level of that categorical mark.
     """
     n = pattern.n
     if n == 0:
         raise ValueError("empty pattern")
-    rng = np.random.default_rng(seed)
-
-    if pattern.network is None:
-        if nd is None:
-            side = _default_side(n)
-            nd = (side, side, side)
-        elif np.isscalar(nd):
-            nd = (int(nd),) * 3
-        else:
-            nd = tuple(int(v) for v in nd)
-            if len(nd) != 3:
-                raise ValueError("planar nd must be (nx, ny, nt)")
-        if min(nd) < 1:
-            raise ValueError("nd entries must be >= 1")
-        if math.prod(nd) * 8 < n:
-            warnings.warn(
-                f"dummy grid {nd} has fewer than one dummy per 8 data points; "
-                "enlarging to the default rule"
-            )
-            side = _default_side(n)
-            nd = (side, side, side)
-        dummies = _planar_dummies(pattern, nd, rng)
-        ncell = math.prod(nd)
-        cellvol = pattern.volume / ncell
+    if by_type is None:
+        selections = [np.arange(n)]
     else:
-        net = pattern.network
-        if nd is None:
-            nt = _default_side(n)
-            ns = max(2, math.ceil(4.0 * n / nt))
-            nd = (ns, nt)
-        elif np.isscalar(nd):
-            nd = (int(nd), int(nd))
-        else:
-            nd = tuple(int(v) for v in nd)
-            if len(nd) == 3:
-                nd = (nd[0] * nd[1], nd[2])
-            if len(nd) != 2:
-                raise ValueError("network nd must be (n_arc, nt)")
-        ns, nt = nd
-        if min(ns, nt) < 1:
-            raise ValueError("nd entries must be >= 1")
-        if ns * nt * 8 < n:
-            warnings.warn(
-                f"dummy grid {nd} has fewer than one dummy per 8 data points; "
-                "enlarging to the default rule"
-            )
-            nt = _default_side(n)
-            ns = max(2, math.ceil(4.0 * n / nt))
-            nd = (ns, nt)
-        total = net.total_length
-        arcs = (np.arange(ns) + 0.5) / ns * total
-        times = pattern.interval.t0 + (np.arange(nt) + 0.5) / nt * pattern.interval.length
-        seg, off = net.location_at(np.repeat(arcs, nt))
-        xy = net.segment_point(seg, off)
-        dummies = np.column_stack([xy[:, 0], xy[:, 1], np.tile(times, ns)])
-        arc_of_dummy = np.repeat(arcs, nt)
-        ncell = ns * nt
-        cellvol = pattern.volume / ncell
-
-    data = pattern.coords
-    scale = np.array(
-        [pattern.window.width, pattern.window.height, pattern.interval.length]
-    )
-    dmarks = _impute_marks(pattern, dummies, scale)
-
-    if pattern.network is None:
-        data_cells = _planar_cells(pattern, nd, data)
-        dummy_cells = _planar_cells(pattern, nd, dummies)
-    else:
-        net = pattern.network
-        arc_data = net.arc_position(pattern.net_seg, pattern.net_off)
-        ia = np.clip((arc_data / net.total_length * ns).astype(int), 0, ns - 1)
-        it = np.clip(
-            ((data[:, 2] - pattern.interval.t0) / pattern.interval.length * nt).astype(int),
-            0, nt - 1,
-        )
-        data_cells = ia * nt + it
-        ia_d = np.clip((arc_of_dummy / net.total_length * ns).astype(int), 0, ns - 1)
-        it_d = np.clip(
-            ((dummies[:, 2] - pattern.interval.t0) / pattern.interval.length * nt).astype(int),
-            0, nt - 1,
-        )
-        dummy_cells = ia_d * nt + it_d
-
-    levels = [None]
-    type_col = None
-    if by_type is not None:
-        if by_type not in pattern.marks or pattern.marks[by_type].kind != "categorical":
+        tcol = pattern.marks.get(by_type)
+        if tcol is None or tcol.kind != "categorical":
             raise ValueError(f"{by_type!r} is not a categorical mark")
-        type_col = pattern.marks[by_type]
-        levels = list(range(len(type_col.levels)))
-
-    rows_coords = []
-    rows_isdata = []
-    rows_weights = []
-    rows_dataidx = []
-    rows_marks = {name: [] for name in pattern.marks}
-    for lev in levels:
-        if lev is None:
-            sel = np.arange(n)
-        else:
-            sel = np.flatnonzero(type_col.values == lev)
-        counts = np.bincount(
-            np.concatenate([data_cells[sel], dummy_cells]), minlength=ncell
+        selections = [np.flatnonzero(tcol.values == k) for k in range(len(tcol.levels))]
+    net, iv = pattern.network, pattern.interval
+    nd = _resolve_nd(nd, n, net is not None)
+    if net is None:
+        w = pattern.window
+        dummies, cells = _grid(
+            pattern.coords, (w.x0, w.y0, iv.t0), (w.width, w.height, iv.length),
+            nd, np.random.default_rng(seed),
         )
-        w_cell = cellvol / counts.astype(float)
-        rows_coords.append(data[sel])
-        rows_coords.append(dummies)
-        rows_isdata.append(np.ones(len(sel), dtype=bool))
-        rows_isdata.append(np.zeros(len(dummies), dtype=bool))
-        rows_weights.append(w_cell[data_cells[sel]])
-        rows_weights.append(w_cell[dummy_cells])
-        rows_dataidx.append(sel)
-        rows_dataidx.append(np.full(len(dummies), -1))
-        for name, col in pattern.marks.items():
-            dvals = dmarks[name].values
-            if lev is not None and name == by_type:
-                dvals = np.full(len(dummies), lev, dtype=np.int64)
-            rows_marks[name].append(col.values[sel])
-            rows_marks[name].append(dvals)
-
-    coords = np.concatenate(rows_coords)
-    is_data = np.concatenate(rows_isdata)
-    wts = np.concatenate(rows_weights)
-    didx = np.concatenate(rows_dataidx)
-    marks = {
-        name: MarkColumn(
-            pattern.marks[name].kind,
-            np.concatenate(vals),
-            pattern.marks[name].levels,
+    else:
+        # time is the fast axis: cell id = arc cell * nt + time cell
+        arc = net.arc_position(pattern.net_seg, pattern.net_off)
+        grid, cells = _grid(
+            np.column_stack([pattern.t, arc]), (iv.t0, 0.0),
+            (iv.length, net.total_length), nd[::-1],
         )
-        for name, vals in rows_marks.items()
-    }
+        xy = net.segment_point(*net.location_at(grid[:, 1]))
+        dummies = np.column_stack([xy, grid[:, 0]])
+
+    # rows of [data; dummies]: per type level, its events then every dummy
+    dummy_rows = np.arange(n, n + len(dummies))
+    blocks = [np.concatenate([sel, dummy_rows]) for sel in selections]
+    rows = np.concatenate(blocks)
+    is_data = rows < n
+    weights = np.concatenate(
+        [_counting_weights(cells[b], math.prod(nd), pattern.volume) for b in blocks]
+    )
+    marks = _with_dummy_marks(pattern, dummies)
+    marks = {name: col.take(rows) for name, col in marks.items()}
+    if by_type is not None:  # each block's dummies carry the block's level
+        level = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        marks[by_type] = MarkColumn(
+            "categorical", np.where(is_data, marks[by_type].values, level), tcol.levels
+        )
     return Quadrature(
-        coords, is_data, wts, didx, marks, tuple(nd), seed, pattern.volume, by_type
+        np.vstack([pattern.coords, dummies])[rows], is_data, weights,
+        np.where(is_data, rows, -1), marks, nd, seed, pattern.volume, by_type,
     )
 
 
@@ -436,16 +411,20 @@ def fit_glm(
 # global Poisson model
 
 
-def _design_with_types(quad: Quadrature, trend: Formula, covs):
-    design = build_design(trend, quad.coords, quad.marks, covs)
+def _design(trend: Formula, coords, marks, covs, type_mark):
+    """Design matrix of ``trend``, plus one indicator column per non-reference
+    level of the ``type_mark`` categorical mark (per-type intercepts)."""
+    design = build_design(trend, coords, marks, covs)
     names = list(design.names)
     cols = [design.matrix]
-    if quad.type_mark is not None:
-        tcol = quad.marks[quad.type_mark]
+    if type_mark is not None:
+        if marks is None or type_mark not in marks:
+            raise ValueError(f"per-type intercepts need the {type_mark!r} mark")
+        tcol = marks[type_mark]
         for i, level in enumerate(tcol.levels):
             if i == 0:
                 continue  # reference level folds into the intercept
-            names.append(f"{quad.type_mark}{level}")
+            names.append(f"{type_mark}{level}")
             cols.append((tcol.values == i).astype(float)[:, None])
     return tuple(names), np.hstack(cols)
 
@@ -467,7 +446,11 @@ class FittedPoissonModel:
     seed: Optional[int] = None
 
     def predict(self, coords, marks=None) -> np.ndarray:
-        names, X = _predict_design(self, np.asarray(coords, dtype=float), marks)
+        names, X = _design(
+            self.trend, np.asarray(coords, dtype=float), marks, self.covs, self.type_mark
+        )
+        if names != self.names:
+            raise ValueError("prediction design does not match the fitted model")
         return np.exp(X @ self.coef)
 
     def __str__(self):
@@ -479,25 +462,6 @@ class FittedPoissonModel:
         for nm, c in zip(self.names, self.coef):
             lines.append(f"  {nm}: {c:.4f}")
         return "\n".join(lines)
-
-
-def _predict_design(model: FittedPoissonModel, coords, marks):
-    design = build_design(model.trend, coords, marks, model.covs)
-    names = list(design.names)
-    cols = [design.matrix]
-    if model.type_mark is not None:
-        if marks is None or model.type_mark not in marks:
-            raise ValueError(f"prediction needs the {model.type_mark!r} mark")
-        tcol = marks[model.type_mark]
-        for i, level in enumerate(tcol.levels):
-            if i == 0:
-                continue
-            names.append(f"{model.type_mark}{level}")
-            cols.append((tcol.values == i).astype(float)[:, None])
-    X = np.hstack(cols)
-    if tuple(names) != model.names:
-        raise ValueError("prediction design does not match the fitted model")
-    return tuple(names), X
 
 
 def stppm(
@@ -532,7 +496,7 @@ def stppm(
                 raise ValueError("marked fit needs a categorical mark")
             by_type = cats[0]
     quad = make_quadrature(pattern, nd=nd, seed=seed, by_type=by_type)
-    names, X = _design_with_types(quad, ast, covs)
+    names, X = _design(ast, quad.coords, quad.marks, covs, by_type)
 
     if method == "glm":
         y = quad.is_data / quad.weights
@@ -565,21 +529,6 @@ def predict_intensity(model, coords, marks=None) -> np.ndarray:
 # separable first-order models
 
 
-def _margin_quadrature(values, lo, hi, nd, rng, jitter=True):
-    """1-d counting-weight quadrature on [lo, hi]."""
-    length = hi - lo
-    cells = np.arange(nd)
-    if jitter:
-        pos = lo + (cells + rng.random(nd)) * (length / nd)
-    else:
-        pos = lo + (cells + 0.5) * (length / nd)
-    idx = np.clip(((values - lo) / length * nd).astype(int), 0, nd - 1)
-    didx = np.clip(((pos - lo) / length * nd).astype(int), 0, nd - 1)
-    counts = np.bincount(np.concatenate([idx, didx]), minlength=nd)
-    w_cell = length / nd / counts.astype(float)
-    return pos, w_cell[idx], w_cell[didx]
-
-
 @dataclass(frozen=True)
 class SeparableFit:
     """Product model: intensity = norm * spatial(u) * temporal(t)."""
@@ -597,14 +546,7 @@ class SeparableFit:
     def predict(self, coords, marks=None) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         if marks is None:
-            scale = np.array(
-                [
-                    self.pattern.window.width,
-                    self.pattern.window.height,
-                    self.pattern.interval.length,
-                ]
-            )
-            marks = _impute_marks(self.pattern, coords, scale)
+            marks = _impute_marks(self.pattern, coords)
         xs = build_design(self.space_trend, coords, marks).matrix
         xt = build_design(self.time_trend, coords, marks).matrix
         return self.norm * np.exp(xs @ self.space_coef) * np.exp(xt @ self.time_coef)
@@ -623,6 +565,15 @@ class SeparableFit:
         return "\n".join(lines)
 
 
+def _margin_cells(nd, default: int) -> int:
+    """Cells per axis of a ``sep_fit`` margin: ``nd``, or the default."""
+    if nd is None:
+        return default
+    if isinstance(nd, bool) or not isinstance(nd, numbers.Integral) or nd < 1:
+        raise ValueError(f"sep_fit nd must be one positive integer, got {nd!r}")
+    return int(nd)
+
+
 def sep_fit(
     pattern: PointPattern,
     spaceformula="~1",
@@ -633,9 +584,13 @@ def sep_fit(
     """Fit a separable model: independent spatial and temporal margins.
 
     The spatial margin is fitted by 2-d cubature on (x, y) (1-d along the
-    arc on networks), the temporal margin by 1-d cubature on t, and the
-    product is rescaled so its integral equals the number of events.  Mark
-    variables at dummy locations copy the nearest data event.
+    arc on networks), the temporal margin by 1-d cubature on t, both from
+    the grid builder of ``make_quadrature``, and the product is rescaled so
+    its integral equals the number of events.  ``nd`` is one positive
+    integer k: k x k jittered spatial cells (k cells at the centres along
+    the arc on a network) and k jittered time cells.  By default k is
+    ceil(sqrt(4n)) spatially on a window, and 4n along the arc and in time.
+    Mark variables at dummy locations copy the nearest data event.
     """
     s_ast = parse_formula(spaceformula)
     t_ast = parse_formula(timeformula)
@@ -647,100 +602,39 @@ def sep_fit(
     if n == 0:
         raise ValueError("empty pattern")
     rng = np.random.default_rng(seed)
-    w, iv = pattern.window, pattern.interval
-    scale = np.array([w.width, w.height, iv.length])
+    w, iv, net = pattern.window, pattern.interval, pattern.network
+
+    def margin(ast, coords, weights):
+        design = build_design(ast, coords, _with_dummy_marks(pattern, coords[n:]))
+        y = (np.arange(len(coords)) < n) / weights
+        res = fit_glm(design.matrix, y, weights, names=design.names, tol=1e-12)
+        return design, res
 
     # spatial margin
-    if pattern.network is None:
-        side = max(2, math.ceil(math.sqrt(4.0 * n))) if nd is None else int(nd)
-        jx = rng.random((side * side, 2))
-        jj, ii = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
-        cells = np.column_stack([ii.ravel(), jj.ravel()]).astype(float)
-        sizes = np.array([w.width / side, w.height / side])
-        dpos = np.array([w.x0, w.y0]) + (cells + jx) * sizes
-        ix = np.clip(((pattern.x - w.x0) / w.width * side).astype(int), 0, side - 1)
-        iy = np.clip(((pattern.y - w.y0) / w.height * side).astype(int), 0, side - 1)
-        dcell = iy * side + ix
-        dix = np.clip(((dpos[:, 0] - w.x0) / w.width * side).astype(int), 0, side - 1)
-        diy = np.clip(((dpos[:, 1] - w.y0) / w.height * side).astype(int), 0, side - 1)
-        ddcell = diy * side + dix
-        counts = np.bincount(np.concatenate([dcell, ddcell]), minlength=side * side)
-        w_cell = (w.area / (side * side)) / counts.astype(float)
-        s_weights = np.concatenate([w_cell[dcell], w_cell[ddcell]])
-        s_coords = np.vstack(
-            [
-                np.column_stack([pattern.x, pattern.y, np.zeros(n)]),
-                np.column_stack([dpos, np.zeros(len(dpos))]),
-            ]
+    if net is None:
+        side = _margin_cells(nd, max(2, math.ceil(math.sqrt(4.0 * n))))
+        dpos, cells = _grid(
+            pattern.coords[:, :2], (w.x0, w.y0), (w.width, w.height), (side, side), rng
         )
-        s_measure = w.area
+        s_weights = _counting_weights(cells, side * side, w.area)
     else:
-        net = pattern.network
-        ns = max(2, 4 * n) if nd is None else int(nd)
-        arc_data = net.arc_position(pattern.net_seg, pattern.net_off)
-        pos, wd, wdum = _margin_quadrature(
-            arc_data, 0.0, net.total_length, ns, rng, jitter=False
-        )
-        seg, off = net.location_at(pos)
-        xy = net.segment_point(seg, off)
-        s_weights = np.concatenate([wd, wdum])
-        s_coords = np.vstack(
-            [
-                np.column_stack([pattern.x, pattern.y, np.zeros(n)]),
-                np.column_stack([xy[:, 0], xy[:, 1], np.zeros(ns)]),
-            ]
-        )
-        s_measure = net.total_length
-    s_isdata = np.concatenate([np.ones(n, bool), np.zeros(len(s_coords) - n, bool)])
-    s_marks = {}
-    if pattern.marks:
-        dmarks = _impute_marks(pattern, s_coords[~s_isdata], scale)
-        s_marks = {
-            name: MarkColumn(
-                col.kind,
-                np.concatenate([col.values, dmarks[name].values]),
-                col.levels,
-            )
-            for name, col in pattern.marks.items()
-        }
-    s_design = build_design(s_ast, s_coords, s_marks)
-    s_res = fit_glm(
-        s_design.matrix,
-        s_isdata / s_weights,
-        s_weights,
-        names=s_design.names,
-        tol=1e-12,
+        ns = _margin_cells(nd, max(2, 4 * n))
+        arc = net.arc_position(pattern.net_seg, pattern.net_off)
+        pos, cells = _grid(arc[:, None], (0.0,), (net.total_length,), (ns,))
+        s_weights = _counting_weights(cells, ns, net.total_length)
+        dpos = net.segment_point(*net.location_at(pos[:, 0]))
+    s_xy = np.vstack([pattern.coords[:, :2], dpos])
+    s_design, s_res = margin(
+        s_ast, np.column_stack([s_xy, np.zeros(len(s_xy))]), s_weights
     )
 
     # temporal margin
-    ndt = max(2, 4 * n) if nd is None else int(nd)
-    pos, wd, wdum = _margin_quadrature(pattern.t, iv.t0, iv.t1, ndt, rng)
-    t_coords = np.vstack(
-        [
-            np.column_stack([np.zeros(n), np.zeros(n), pattern.t]),
-            np.column_stack([np.zeros(ndt), np.zeros(ndt), pos]),
-        ]
-    )
-    t_isdata = np.concatenate([np.ones(n, bool), np.zeros(ndt, bool)])
-    t_weights = np.concatenate([wd, wdum])
-    t_marks = {}
-    if pattern.marks:
-        dmarks = _impute_marks(pattern, t_coords[n:], scale)
-        t_marks = {
-            name: MarkColumn(
-                col.kind,
-                np.concatenate([col.values, dmarks[name].values]),
-                col.levels,
-            )
-            for name, col in pattern.marks.items()
-        }
-    t_design = build_design(t_ast, t_coords, t_marks)
-    t_res = fit_glm(
-        t_design.matrix,
-        t_isdata / t_weights,
-        t_weights,
-        names=t_design.names,
-        tol=1e-12,
+    nt = _margin_cells(nd, max(2, 4 * n))
+    pos, cells = _grid(pattern.t[:, None], (iv.t0,), (iv.length,), (nt,), rng)
+    t_weights = _counting_weights(cells, nt, iv.length)
+    t_all = np.concatenate([pattern.t, pos[:, 0]])
+    t_design, t_res = margin(
+        t_ast, np.column_stack([np.zeros((len(t_all), 2)), t_all]), t_weights
     )
 
     int_s = float(np.sum(s_weights * np.exp(s_design.matrix @ s_res.coef)))

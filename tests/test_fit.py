@@ -7,6 +7,7 @@ the dummy-point layout.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ def test_network_quadrature(net_poisson):
     assert q2.nd == (20, 6)
 
 
+def test_network_nd_entries_are_checked_before_collapsing(net_poisson):
+    # (-1, -1, 5) would collapse to the valid-looking (1, 5)
+    with pytest.raises(ValueError, match=">= 1"):
+        make_quadrature(net_poisson, nd=(-1, -1, 5))
+
+
 def test_marked_quadrature_weight_sums():
     a = sim_poisson(60.0, window=UNIT_W, interval=UNIT_T, seed=1)
     b = sim_poisson(40.0, window=UNIT_W, interval=UNIT_T, seed=2)
@@ -108,6 +115,22 @@ def test_marked_quadrature_weight_sums():
         assert quad.weights[types == lev].sum() == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError, match="categorical"):
         make_quadrature(pat, by_type="nope")
+
+
+def test_dummy_marks_memory_stays_bounded():
+    # the nearest-event search runs over blocks of dummies, not one dense
+    # (dummies x n x 3) table: at n ~ 2000 that table alone took ~500 MB
+    pat = sim_poisson(2000.0, window=UNIT_W, interval=UNIT_T, seed=3)
+    marks = {"m": MarkColumn("continuous", np.random.default_rng(0).normal(size=pat.n))}
+    marked = PointPattern(pat.coords, UNIT_W, UNIT_T, marks)
+    for fit in (lambda: make_quadrature(marked), lambda: sep_fit(marked, "~x", "~t")):
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 def test_quadrature_input_validation(poisson100):
@@ -236,10 +259,43 @@ def test_glm_and_lsr_agree_with_dense_dummies():
     assert np.abs(mg.coef - ml.coef).max() < 0.15
 
 
-def test_predictions_match_stored_fitted_values():
+def two_type_pattern():
+    a = sim_poisson(120.0, window=UNIT_W, interval=UNIT_T, seed=1)
+    b = sim_poisson(60.0, window=UNIT_W, interval=UNIT_T, seed=2)
+    codes = np.concatenate([np.zeros(a.n, np.int64), np.ones(b.n, np.int64)])
+    return PointPattern(
+        np.vstack([a.coords, b.coords]), UNIT_W, UNIT_T,
+        {"type": MarkColumn("categorical", codes, ("A", "B"))},
+    )
+
+
+def wave_grid():
+    g = np.linspace(0.0, 1.0, 5)
+    values = np.sin(3.0 * g)[None, None, :] + g[None, :, None] * g[:, None, None]
+    return CovariateGrid("wave", 0.0, 0.25, 5, 0.0, 0.25, 5, 0.0, 0.25, 5, values)
+
+
+@pytest.mark.parametrize(
+    "case", ["glm", "lsr", "marked", "covariate", "network", "separable"]
+)
+def test_predictions_match_stored_fitted_values(case, request):
+    # the fit and the prediction build the design through the same code
     pat = expx_pattern(seed=5)
-    m = stppm(pat, "~x")
-    pred = predict_intensity(m, pat.coords)
+    if case == "glm":
+        m = stppm(pat, "~x")
+    elif case == "lsr":
+        m = stppm(pat, "~x", method="lsr")
+    elif case == "marked":
+        pat = two_type_pattern()
+        m = stppm(pat, "~x", marked=True)
+    elif case == "covariate":
+        m = stppm(pat, "~x + wave", covs={"wave": wave_grid()})
+    elif case == "network":
+        pat = request.getfixturevalue("net_poisson")
+        m = stppm(pat, "~x + t")
+    else:
+        m = sep_fit(pat, "~x", "~t")
+    pred = predict_intensity(m, pat.coords, pat.marks)
     assert np.array_equal(pred, m.fitted)
 
 
@@ -320,6 +376,19 @@ def test_separable_on_network(net_poisson):
     assert np.isfinite(sf.space_coef).all()
     assert np.isfinite(sf.time_coef).all()
     assert (sf.fitted > 0).all()
+
+
+@pytest.mark.parametrize("nd", [(4, 5, 6), 0, -3, 2.5, "4"])
+def test_separable_nd_must_be_one_positive_integer(poisson100, net_poisson, nd):
+    for pat in (poisson100, net_poisson):
+        with pytest.raises(ValueError, match="nd must be one positive integer"):
+            sep_fit(pat, "~x", "~t", nd=nd)
+
+
+def test_separable_nd_accepts_numpy_integers(poisson100):
+    a = sep_fit(poisson100, "~x", "~t", nd=np.int64(7))
+    b = sep_fit(poisson100, "~x", "~t", nd=7)
+    assert np.array_equal(a.fitted, b.fitted)
 
 
 # ---------------------------------------------------------------------------

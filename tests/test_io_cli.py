@@ -245,6 +245,15 @@ def test_computation_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_separable_rejects_bad_nd(tmp_path, capsys):
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    for nd in ("4,5,6", "0"):
+        code = main(["fit", "separable", "--pattern", str(pat_csv), "--nd", nd,
+                     "--seed", "1", "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert "nd must be one positive integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI: golden equivalence with library calls
 
