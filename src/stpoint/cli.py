@@ -35,6 +35,7 @@ from .diagnostics import globaldiag, infl, localdiag, localtest
 from .fit import locstppm, sep_fit, stppm
 from .formula import parse_formula
 from .io import (
+    _write_csv,
     grid_from_nodes,
     json_dumps,
     read_covariate_csv,
@@ -91,31 +92,34 @@ def _interval(args) -> Optional[TimeInterval]:
     return TimeInterval(*_floats(args.time, 2, "--time"))
 
 
-def _network(args, inputs):
+def _network(args, run):
+    """The --network file, checked against --domain where a command has one."""
     path = getattr(args, "network", None)
+    domain = getattr(args, "domain", None)
+    if domain == "network" and path is None:
+        raise UsageError("--domain network requires --network")
+    if domain == "window" and path is not None:
+        raise UsageError("--domain window conflicts with --network")
     if path is None:
         return None
-    inputs.append(path)
-    return read_network_json(path)
+    return run.read(read_network_json, path)
 
 
-def _pattern(args, inputs):
-    net = _network(args, inputs)
-    inputs.append(args.pattern)
-    return read_pattern_csv(
-        args.pattern, window=_window(args), interval=_interval(args), network=net
+def _pattern(args, run):
+    net = _network(args, run)
+    return run.read(
+        read_pattern_csv, args.pattern, window=_window(args), interval=_interval(args), network=net
     )
 
 
-def _covariates(args, inputs) -> dict:
+def _covariates(args, run) -> dict:
     covs = {}
     for item in getattr(args, "covariate", None) or []:
         if "=" not in item:
             raise UsageError(f"--covariate: expected name=path, got {item!r}")
         name, path = item.split("=", 1)
-        inputs.append(path)
         try:
-            covs[name] = grid_from_nodes(read_covariate_csv(path), name=name)
+            covs[name] = grid_from_nodes(run.read(read_covariate_csv, path), name=name)
         except ValueError as exc:
             raise UsageError(
                 f"--covariate {name}: {exc}; interpolate scattered samples "
@@ -200,6 +204,11 @@ class Run:
     def path(self, name: str) -> str:
         return os.path.join(self.outdir, name)
 
+    def read(self, reader, path, **kwargs):
+        """``reader(path, **kwargs)``, with ``path`` recorded as an input."""
+        self.inputs.append(path)
+        return reader(path, **kwargs)
+
     def add(self, name: str) -> str:
         self.outputs.append(name)
         return self.path(name)
@@ -237,12 +246,7 @@ class Run:
 
 def _cmd_simulate_poisson(args):
     run = Run(args, "simulate poisson")
-    inputs: list = []
-    net = _network(args, inputs)
-    if args.domain == "network" and net is None:
-        raise UsageError("--domain network requires --network")
-    if args.domain == "window" and net is not None:
-        raise UsageError("--domain window conflicts with --network")
+    net = _network(args, run)
     if args.lam is None and args.formula is None:
         raise UsageError("give --lambda or --formula")
     if args.lam is not None and args.formula is not None:
@@ -262,7 +266,6 @@ def _cmd_simulate_poisson(args):
         network=net,
         seed=args.seed,
     )
-    run.inputs = inputs
     write_pattern_csv(pattern, run.add("pattern.csv"))
     if args.emit_svg:
         run.write_text("pattern.svg", pattern_svg(pattern))
@@ -272,12 +275,7 @@ def _cmd_simulate_poisson(args):
 
 def _cmd_simulate_etas(args):
     run = Run(args, "simulate etas")
-    inputs: list = []
-    net = _network(args, inputs)
-    if args.domain == "network" and net is None:
-        raise UsageError("--domain network requires --network")
-    if args.domain == "window" and net is not None:
-        raise UsageError("--domain window conflicts with --network")
+    net = _network(args, run)
     params = EtasParams(args.mu, args.k0, args.c, args.p, args.d, args.q)
     pattern, info = sim_etas(
         params,
@@ -290,7 +288,6 @@ def _cmd_simulate_etas(args):
         seed=args.seed,
         return_info=True,
     )
-    run.inputs = inputs
     write_pattern_csv(pattern, run.add("pattern.csv"))
     run.write_json("etas.json", info)
     if args.emit_svg:
@@ -301,14 +298,15 @@ def _cmd_simulate_etas(args):
 
 def _cmd_covariate(args):
     run = Run(args, "covariate")
-    run.inputs.append(args.samples)
-    samples = read_covariate_csv(args.samples)
+    samples = run.read(read_covariate_csv, args.samples)
     grid_spec = None
     if args.grid is not None:
-        parts = [int(p) for p in args.grid.split(",")]
-        if len(parts) != 3 or min(parts) < 2:
+        try:
+            grid_spec = tuple(int(p) for p in args.grid.split(","))
+        except ValueError:
+            grid_spec = ()
+        if len(grid_spec) != 3 or min(grid_spec) < 2:
             raise UsageError("--grid: expected nx,ny,nt with each >= 2")
-        grid_spec = tuple(parts)
     grid = interpolate_idw(
         samples,
         grid=grid_spec,
@@ -326,12 +324,9 @@ def _cmd_covariate(args):
 
 def _cmd_summary(args):
     run = Run(args, "summary")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    run.inputs = inputs
+    pattern = _pattern(args, run)
     if args.intensity is not None:
-        run.inputs.append(args.intensity)
-        lam = read_intensity_csv(args.intensity)
+        lam = run.read(read_intensity_csv, args.intensity)
     else:
         lam = pattern.n / pattern.volume
     cfg = _config(args, args.statistic)
@@ -349,7 +344,7 @@ def _cmd_summary(args):
     return run.finish()
 
 
-def _model_json_poisson(args, model) -> dict:
+def _model_json_poisson(model) -> dict:
     return {
         "model": "poisson",
         "formula": str(model.trend),
@@ -369,10 +364,8 @@ def _model_json_poisson(args, model) -> dict:
 
 def _cmd_fit_poisson(args):
     run = Run(args, "fit poisson")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    covs = _covariates(args, inputs)
-    run.inputs = inputs
+    pattern = _pattern(args, run)
+    covs = _covariates(args, run)
     model = stppm(
         pattern,
         trend=args.formula,
@@ -382,7 +375,7 @@ def _cmd_fit_poisson(args):
         nd=_nd(args),
         seed=args.seed,
     )
-    run.write_json("model.json", _model_json_poisson(args, model))
+    run.write_json("model.json", _model_json_poisson(model))
     write_intensity_csv(model.fitted, run.add("intensity.csv"))
     print(model)
     return run.finish()
@@ -390,9 +383,7 @@ def _cmd_fit_poisson(args):
 
 def _cmd_fit_separable(args):
     run = Run(args, "fit separable")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    run.inputs = inputs
+    pattern = _pattern(args, run)
     model = sep_fit(
         pattern,
         spaceformula=args.space_formula,
@@ -424,10 +415,8 @@ def _cmd_fit_separable(args):
 
 def _cmd_fit_local_poisson(args):
     run = Run(args, "fit local-poisson")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    covs = _covariates(args, inputs)
-    run.inputs = inputs
+    pattern = _pattern(args, run)
+    covs = _covariates(args, run)
     model = locstppm(
         pattern,
         trend=args.formula,
@@ -462,10 +451,8 @@ _FAMILY_ALIASES = {
 
 def _cmd_fit_lgcp(args):
     run = Run(args, "fit lgcp")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    covs = _covariates(args, inputs)
-    run.inputs = inputs
+    pattern = _pattern(args, run)
+    covs = _covariates(args, run)
     family = _FAMILY_ALIASES.get(args.family, args.family)
     if family not in COV_FAMILIES:
         raise UsageError(f"--family: unknown family {args.family!r}")
@@ -528,11 +515,8 @@ def _cmd_fit_lgcp(args):
 
 def _cmd_diagnose_global(args):
     run = Run(args, "diagnose global")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    inputs.append(args.intensity)
-    run.inputs = inputs
-    lam = read_intensity_csv(args.intensity)
+    pattern = _pattern(args, run)
+    lam = run.read(read_intensity_csv, args.intensity)
     res = globaldiag(pattern, lam, config=_config(args, "K"))
     write_surface_csv(res.surface, run.add("ksurface.csv"))
     run.write_json("diag.json", {"sum_squared_differences": res.discrepancy})
@@ -544,23 +528,18 @@ def _cmd_diagnose_global(args):
 
 def _cmd_diagnose_local(args):
     run = Run(args, "diagnose local")
-    inputs: list = []
-    pattern = _pattern(args, inputs)
-    inputs.append(args.intensity)
-    run.inputs = inputs
-    lam = read_intensity_csv(args.intensity)
+    pattern = _pattern(args, run)
+    lam = run.read(read_intensity_csv, args.intensity)
     res = localdiag(pattern, lam, p=args.p, config=_config(args, "K"))
-    flagged = set(int(i) for i in res.flagged_ids)
-    lines = ["id,score,flagged"]
-    for i, score in enumerate(res.scores, start=1):
-        lines.append(f"{i},{format(float(score), '.17g')},{int(i in flagged)}")
-    run.write_text("scores.csv", "\n".join(lines) + "\n")
+    ids = np.arange(1, len(res.scores) + 1)
+    flagged = np.isin(ids, res.flagged_ids)
+    _write_csv(run.add("scores.csv"), ["id", "score", "flagged"], [ids, res.scores, flagged])
     run.write_json(
         "diag.json",
         {
             "threshold": res.threshold,
             "quantile": res.quantile,
-            "flagged_ids": sorted(flagged),
+            "flagged_ids": ids[flagged],
         },
     )
     surfaces = infl(res)
@@ -574,13 +553,10 @@ def _cmd_diagnose_local(args):
 
 def _cmd_test_local(args):
     run = Run(args, "test local")
-    inputs: list = []
-    net = _network(args, inputs)
-    inputs.extend([args.background, args.alt])
-    run.inputs = inputs
+    net = _network(args, run)
     window, interval = _window(args), _interval(args)
-    bg = read_pattern_csv(args.background, window=window, interval=interval, network=net)
-    alt = read_pattern_csv(args.alt, window=window, interval=interval, network=net)
+    bg = run.read(read_pattern_csv, args.background, window=window, interval=interval, network=net)
+    alt = run.read(read_pattern_csv, args.alt, window=window, interval=interval, network=net)
     if window is None and net is None:
         window = SpatialWindow(
             min(bg.window.x0, alt.window.x0),
@@ -605,11 +581,9 @@ def _cmd_test_local(args):
         config=_config(args, args.method),
         seed=args.seed,
     )
-    sig = set(int(i) for i in res.significant_ids)
-    lines = ["id,pvalue,significant"]
-    for i, p in enumerate(res.pvalues, start=1):
-        lines.append(f"{i},{format(float(p), '.17g')},{int(i in sig)}")
-    run.write_text("pvalues.csv", "\n".join(lines) + "\n")
+    ids = np.arange(1, len(res.pvalues) + 1)
+    sig = np.isin(ids, res.significant_ids)
+    _write_csv(run.add("pvalues.csv"), ["id", "pvalue", "significant"], [ids, res.pvalues, sig])
     run.write_json(
         "test.json",
         {
@@ -618,7 +592,7 @@ def _cmd_test_local(args):
             "alpha": res.alpha,
             "n_background": res.n_background,
             "n_alternative": res.n_alternative,
-            "significant_ids": sorted(sig),
+            "significant_ids": ids[sig],
         },
     )
     print(res)

@@ -150,6 +150,11 @@ def _counting_weights(cells: np.ndarray, ncell: int, volume: float) -> np.ndarra
     return w_cell[cells]
 
 
+def _positive_int(v) -> bool:
+    """True for an integer >= 1, numpy integers included and bools not."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral) and v >= 1
+
+
 def _default_side(n: int) -> int:
     return max(2, math.ceil((4.0 * n) ** (1.0 / 3.0)))
 
@@ -165,9 +170,10 @@ def _resolve_nd(nd, n: int, network: bool) -> Tuple[int, ...]:
     """
     dims = 2 if network else 3
     if nd is not None:
-        nd = (int(nd),) * dims if np.isscalar(nd) else tuple(int(v) for v in nd)
-        if any(v < 1 for v in nd):
-            raise ValueError("nd entries must be >= 1")
+        cells = (nd,) * dims if np.isscalar(nd) else tuple(nd)
+        if not all(map(_positive_int, cells)):
+            raise ValueError(f"nd entries must be integers >= 1, got {nd!r}")
+        nd = tuple(int(v) for v in cells)
         if network and len(nd) == 3:
             nd = (nd[0] * nd[1], nd[2])
         if len(nd) != dims:
@@ -569,7 +575,7 @@ def _margin_cells(nd, default: int) -> int:
     """Cells per axis of a ``sep_fit`` margin: ``nd``, or the default."""
     if nd is None:
         return default
-    if isinstance(nd, bool) or not isinstance(nd, numbers.Integral) or nd < 1:
+    if not _positive_int(nd):
         raise ValueError(f"sep_fit nd must be one positive integer, got {nd!r}")
     return int(nd)
 

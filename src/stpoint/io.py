@@ -11,12 +11,24 @@ surfaces serialize long-format as ``r,h,estimate,theoretical`` (an
 
 CSV floats are written with 17 significant digits and JSON floats with
 the shortest exact repr, so every value round-trips bit-for-bit.
+
+One writer serves every CSV, the CLI's score and p-value tables too: a
+``%`` format per block of rows, floats as ``%.17g``, ids as ``%d``, labels
+quoted once per level as ``csv.writer`` quotes a field inside a row.  One
+reader serves every numeric CSV: it checks the header line, then calls
+``np.loadtxt`` once; blank lines are skipped, ``#`` is not a comment, and
+ragged rows are refused.  Pattern files, whose marks can hold quoted
+text, are read with ``csv.reader``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
+from functools import partial
+from io import StringIO
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -43,13 +55,65 @@ __all__ = [
 ]
 
 
+_FLOAT = "%.17g"
+_FORMATS = {"f": _FLOAT, "i": "%d", "u": "%d", "b": "%d", "O": "%s"}
+_BLOCK_ROWS = 8192
+
+
 def fmt_float(v) -> str:
-    return format(float(v), ".17g")
+    return _FLOAT % float(v)
 
 
 def json_dumps(obj) -> str:
     """Deterministic JSON text: sorted keys, two-space indent."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field inside a row."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(["", text])
+    return buf.getvalue()[1:-1]
+
+
+def _write_csv(path, header, columns) -> None:
+    """Header line, then rows; float columns print as ``%.17g``, integer and
+    bool ones as ``%d``, object ones (quoted text) as they are."""
+    row = ",".join(_FORMATS[np.asarray(c).dtype.kind] for c in columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_quote(h) for h in header) + "\n")
+        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[lo : lo + _BLOCK_ROWS].tolist() for c in columns]
+            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+
+
+def _read_rows(path, names, bad_header=None, entry="entry") -> np.ndarray:
+    """Float rows of a CSV with columns ``names``.  The first line is a header
+    if it starts with ``names[0]``; given ``bad_header``, it must equal ``names``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        line = fh.readline()
+    if not line:
+        raise ValueError(f"{path}: empty file")
+    header = [c.strip() for c in next(csv.reader([line]), [])]
+    if bad_header and header != names:
+        raise ValueError(f"{path}: {bad_header}")
+    load = partial(np.loadtxt, path, delimiter=",", comments=None, ndmin=2,
+                   skiprows=int(header[:1] == names[:1]))
+    shape_error = ValueError(f"{path}: expected rows of {','.join(names)}")
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = load(encoding="utf-8")
+        except ValueError:
+            # latin-1 decodes any byte, so this parse fails only on ragged rows
+            try:
+                ragged = load(dtype=str, encoding="latin-1").shape[1] != len(names)
+            except ValueError:
+                ragged = True
+            raise shape_error if ragged else ValueError(f"{path}: non-numeric {entry}") from None
+    if data.size and data.shape[1] != len(names):
+        raise shape_error
+    return data.reshape(-1, len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -58,23 +122,13 @@ def json_dumps(obj) -> str:
 
 def write_pattern_csv(pattern: PointPattern, path) -> None:
     cols = [pattern.x, pattern.y, pattern.t]
-    header = ["x", "y", "t"]
-    formats = [True, True, True]  # numeric column flags
-    for name, mark in pattern.marks.items():
-        header.append(name)
+    for mark in pattern.marks.values():
         if mark.kind == "continuous":
             cols.append(mark.values)
-            formats.append(True)
         else:
-            cols.append(mark.labels)
-            formats.append(False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i in range(pattern.n):
-            w.writerow(
-                [fmt_float(c[i]) if f else str(c[i]) for c, f in zip(cols, formats)]
-            )
+            quoted = np.array([_quote(str(v)) for v in mark.levels], dtype=object)
+            cols.append(quoted[mark.values])
+    _write_csv(path, ["x", "y", "t", *pattern.marks], cols)
 
 
 def read_pattern_csv(
@@ -129,28 +183,17 @@ def read_network_json(path) -> LinearNetwork:
 # covariates
 
 
+_COVARIATE_HEADER = ["x", "y", "t", "value"]
+
+
 def write_covariate_csv(grid: CovariateGrid, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["x", "y", "t", "value"])
-        for row in grid.node_table():
-            w.writerow([fmt_float(v) for v in row])
+    _write_csv(path, _COVARIATE_HEADER, list(grid.node_table().T))
 
 
 def read_covariate_csv(path) -> np.ndarray:
     """Rows of (x, y, t, value) from a sample or grid-node CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    if header != ["x", "y", "t", "value"]:
-        raise ValueError(f"{path}: header must be x,y,t,value")
-    try:
-        out = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric entry")
-    if out.ndim != 2 or out.shape[1] != 4 or out.shape[0] == 0:
+    out = _read_rows(path, _COVARIATE_HEADER, "header must be x,y,t,value")
+    if len(out) == 0:
         raise ValueError(f"{path}: expected rows of x,y,t,value")
     return out
 
@@ -193,38 +236,31 @@ def grid_from_nodes(samples: np.ndarray, name: str = "cov") -> CovariateGrid:
 # summary surfaces
 
 
+_SURFACE_HEADER = ["r", "h", "estimate", "theoretical"]
+
+
 def write_surface_csv(surface, path) -> None:
     """Long-format surface CSV; ListaSet gains a leading id column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        if isinstance(surface, ListaSet):
-            w.writerow(["id", "r", "h", "estimate", "theoretical"])
-            for pid, surf in zip(surface.ids, surface.surfaces):
-                for i, r in enumerate(surf.rs):
-                    for j, h in enumerate(surf.hs):
-                        w.writerow(
-                            [str(int(pid))]
-                            + [fmt_float(v) for v in (r, h, surf.est[i, j], surf.theo[i, j])]
-                        )
-        else:
-            w.writerow(["r", "h", "estimate", "theoretical"])
-            for i, r in enumerate(surface.rs):
-                for j, h in enumerate(surface.hs):
-                    w.writerow(
-                        [fmt_float(v) for v in (r, h, surface.est[i, j], surface.theo[i, j])]
-                    )
+    lista = isinstance(surface, ListaSet)
+    tables = []
+    for surf in surface.surfaces if lista else [surface]:
+        rr, hh = np.meshgrid(surf.rs, surf.hs, indexing="ij")
+        tables.append(
+            np.column_stack([rr.ravel(), hh.ravel(), np.ravel(surf.est), np.ravel(surf.theo)])
+        )
+    header, columns = _SURFACE_HEADER, list(np.concatenate([np.empty((0, 4)), *tables]).T)
+    if lista:
+        ids = np.repeat(np.asarray(surface.ids, dtype=np.int64), [len(t) for t in tables])
+        header, columns = ["id", *header], [ids, *columns]
+    _write_csv(path, header, columns)
 
 
 def read_surface_csv(path, statistic: str = "K") -> SummarySurface:
     """Rebuild a single surface written by write_surface_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["r", "h", "estimate", "theoretical"]:
-        raise ValueError(f"{path}: expected header r,h,estimate,theoretical")
-    data = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
+    data = _read_rows(path, _SURFACE_HEADER, "expected header r,h,estimate,theoretical")
     rs = np.unique(data[:, 0])
     hs = np.unique(data[:, 1])
-    if len(rs) * len(hs) != len(data):
+    if len(data) == 0 or len(rs) * len(hs) != len(data):
         raise ValueError(f"{path}: rows do not cover a full lag grid")
     est = data[:, 2].reshape(len(rs), len(hs))
     theo = data[:, 3].reshape(len(rs), len(hs))
@@ -236,24 +272,12 @@ def read_surface_csv(path, statistic: str = "K") -> SummarySurface:
 
 
 def write_intensity_csv(values, path) -> None:
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["intensity"])
-        for v in values:
-            w.writerow([fmt_float(v)])
+    _write_csv(path, ["intensity"], [np.asarray(values, dtype=float)])
 
 
 def read_intensity_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    start = 1 if rows[0] and rows[0][0].strip() == "intensity" else 0
-    try:
-        vals = np.array([float(r[0]) for r in rows[start:]], dtype=float)
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric intensity entry")
+    """Per-event intensities; the ``intensity`` header line is optional."""
+    vals = _read_rows(path, ["intensity"], entry="intensity entry")[:, 0]
     if vals.size == 0:
         raise ValueError(f"{path}: no intensity values")
     if (vals <= 0).any() or not np.isfinite(vals).all():

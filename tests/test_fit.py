@@ -142,6 +142,20 @@ def test_quadrature_input_validation(poisson100):
         make_quadrature(poisson100, nd=(0, 3, 3))
 
 
+@pytest.mark.parametrize("nd", [8.9, "6", True, 0, -2, (4, 4.0, 4), (4, True, 4), (4, "4", 4)])
+def test_quadrature_nd_must_be_positive_integers(poisson100, net_poisson, nd):
+    # int() used to turn 8.9 into 8, "6" into 6 and True into 1
+    for pat in (poisson100, net_poisson):
+        with pytest.raises(ValueError, match="nd entries must be integers >= 1"):
+            make_quadrature(pat, nd=nd)
+
+
+def test_quadrature_nd_accepts_numpy_integers(poisson100, net_poisson):
+    assert make_quadrature(poisson100, nd=np.int64(6)).nd == (6, 6, 6)
+    assert make_quadrature(poisson100, nd=(np.int32(5), 6, np.uint8(7))).nd == (5, 6, 7)
+    assert make_quadrature(net_poisson, nd=(np.int64(4), 5, 6)).nd == (20, 6)
+
+
 # ---------------------------------------------------------------------------
 # weighted GLM
 

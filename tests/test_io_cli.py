@@ -152,6 +152,41 @@ def test_intensity_csv_round_trip(tmp_path):
         read_intensity_csv(bad)
 
 
+COV, SURF = "x,y,t,value\n", "r,h,estimate,theoretical\n"
+MALFORMED = {
+    "covariate-empty": (read_covariate_csv, "", "empty file"),
+    "covariate-header-only": (read_covariate_csv, COV, "expected rows of x,y,t,value"),
+    "covariate-wrong-header": (read_covariate_csv, "x,y,t\n1,2,3\n", "header must be x,y,t,value"),
+    "covariate-non-numeric": (read_covariate_csv, COV + "1,2,abc,4\n", "non-numeric entry"),
+    "covariate-ragged": (read_covariate_csv, COV + "1,2,3,4\n1,2,3,4,5\n", "expected rows of x,y,t,value"),
+    "covariate-short": (read_covariate_csv, COV + "1,2,3\n", "expected rows of x,y,t,value"),
+    "surface-empty": (read_surface_csv, "", "empty file"),
+    "surface-header-only": (read_surface_csv, SURF, "rows do not cover a full lag grid"),
+    "surface-wrong-header": (read_surface_csv, "r,h,est\n1,2,3\n", "expected header r,h,estimate,theoretical"),
+    "surface-non-numeric": (read_surface_csv, SURF + "abc,1,1,1\n", "non-numeric entry"),
+    "surface-ragged": (read_surface_csv, SURF + "1,1,1,1\n1,2,1\n", "expected rows of r,h,estimate"),
+    "surface-short": (read_surface_csv, SURF + "1,1,1\n", "expected rows of r,h,estimate"),
+    "surface-partial-grid": (read_surface_csv, SURF + "1,1,1,1\n1,2,1,1\n2,1,1,1\n", "full lag grid"),
+    "intensity-empty": (read_intensity_csv, "", "empty file"),
+    "intensity-header-only": (read_intensity_csv, "intensity\n", "no intensity values"),
+    "intensity-wrong-header": (read_intensity_csv, "lambda\n1.0\n", "non-numeric intensity entry"),
+    "intensity-non-numeric": (read_intensity_csv, "intensity\n1.0\nabc\n", "non-numeric intensity entry"),
+    "intensity-ragged": (read_intensity_csv, "intensity\n1.0\n2.0,3.0\n", "expected rows of intensity"),
+    "intensity-second-column": (read_intensity_csv, "intensity\n1.0,2.0\n3.0,4.0\n", "expected rows of intensity"),
+    "intensity-not-positive": (read_intensity_csv, "intensity\n1.0\n0.0\n", "positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_numeric_readers_refuse_malformed_files(tmp_path, case):
+    reader, text, message = MALFORMED[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # CLI: determinism and exit codes
 
@@ -227,6 +262,10 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         == 2
     )
     assert main(SIM_ARGS + ["--threads", "0", "-o", out]) == 2
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x,y,t,value\n0,0,0,1\n1,1,1,2\n")
+    assert main(["covariate", "--samples", str(samples), "--grid", "4,4,x", "-o", out]) == 2
+    assert "--grid: expected nx,ny,nt with each >= 2" in capsys.readouterr().err
     monkeypatch.setenv("STPP_THREADS", "soon")
     assert main(SIM_ARGS + ["-o", out]) == 2
     monkeypatch.delenv("STPP_THREADS")
