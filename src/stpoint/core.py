@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .network import LinearNetwork, snap_to_network
+from .network import LinearNetwork, _check_points, snap_to_network
 
 __all__ = [
     "SpatialWindow",
@@ -171,10 +171,11 @@ class PointPattern:
         if self.network is not None:
             if self.net_seg is None or self.net_off is None:
                 raise ValueError("network pattern needs net_seg and net_off")
-            seg = _readonly(np.asarray(self.net_seg, dtype=np.int64))
-            off = _readonly(np.asarray(self.net_off, dtype=float))
+            seg = np.asarray(self.net_seg, dtype=np.int64)
+            off = np.asarray(self.net_off, dtype=float)
             if len(seg) != len(c) or len(off) != len(c):
                 raise ValueError("network coordinates length mismatch")
+            seg, off = (_readonly(a) for a in _check_points(self.network, seg, off))
             xy = self.network.segment_point(seg, off)
             if len(c) and np.max(np.hypot(xy[:, 0] - c[:, 0], xy[:, 1] - c[:, 1])) > 1e-9:
                 raise ValueError("network coordinates inconsistent with (x, y)")

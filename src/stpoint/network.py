@@ -10,11 +10,17 @@ shortest-path distance exactly r from u.  On each segment the distance to
 the origin is a tent-shaped piecewise-linear function of arc position, so
 the count reduces to counting branch crossings per segment plus vertex
 hits, with a fixed tolerance for coincidences.
+
+Pair tables take their origins in blocks.  One label-correcting search
+relaxes the vertex distances of every origin in a block together, with
+the same float sums as a Dijkstra search per origin, and the equidistant
+counts of a block are read off each origin's sorted segment end distances
+and tent peaks; only lags within a few VERTEX_TOL of such a breakpoint go
+through the tolerance rule of ``equidistant_counts``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Tuple
@@ -93,6 +99,19 @@ class LinearNetwork:
         return float(np.hypot(v[:, 0].max() - v[:, 0].min(), v[:, 1].max() - v[:, 1].min()))
 
     @cached_property
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Both directions of every segment, grouped by source vertex.
+
+        Returns (indptr, neighbor, length): the edges leaving vertex v sit at
+        positions indptr[v]:indptr[v + 1] of the last two arrays.
+        """
+        s = self.segments
+        src = np.concatenate([s[:, 0], s[:, 1]])
+        order = np.argsort(src, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=len(self.vertices)))])
+        return indptr, np.concatenate([s[:, 1], s[:, 0]])[order], np.tile(self.lengths, 2)[order]
+
+    @cached_property
     def adjacency(self) -> list:
         """adjacency[v] = list of (neighbor vertex, edge length)."""
         adj = [[] for _ in range(len(self.vertices))]
@@ -136,11 +155,12 @@ class NetworkPoint:
         return float(xy[0]), float(xy[1])
 
 
-def _as_seg_off(point) -> Tuple[int, float]:
-    if isinstance(point, NetworkPoint):
-        return int(point.seg), float(point.off)
-    seg, off = point
-    return int(seg), float(off)
+def _as_seg_off(network: LinearNetwork, point) -> Tuple[int, float]:
+    """(seg, off) of a NetworkPoint or pair, refused unless 0 <= seg < S."""
+    seg, off = (point.seg, point.off) if isinstance(point, NetworkPoint) else point
+    seg = int(seg)
+    _segment_ids(network, seg)
+    return seg, float(off)
 
 
 def snap_to_network(network: LinearNetwork, x, y):
@@ -169,43 +189,81 @@ def snap_to_network(network: LinearNetwork, x, y):
     return seg.astype(np.int64), off, snapped, dist
 
 
+def _segment_ids(network: LinearNetwork, seg) -> np.ndarray:
+    """Segment ids as int64, refused unless each lies in [0, S)."""
+    seg = np.asarray(seg, dtype=np.int64)
+    if ((seg < 0) | (seg >= len(network.segments))).any():
+        raise ValueError(f"segment id outside [0, {len(network.segments)})")
+    return seg
+
+
+def _check_points(network: LinearNetwork, seg, off) -> Tuple[np.ndarray, np.ndarray]:
+    """(seg, off) arrays, refused unless each offset lies on its segment.
+
+    An offset may overshoot its segment by VERTEX_TOL at either end.
+    """
+    seg = _segment_ids(network, seg)
+    off = np.asarray(off, dtype=float)
+    ell = network.lengths[seg]
+    if not ((off >= -VERTEX_TOL) & (off <= ell + VERTEX_TOL)).all():  # NaN fails too
+        raise ValueError("offset outside segment")
+    return seg, off
+
+
+def _vertex_distances(network: LinearNetwork, seg, off) -> np.ndarray:
+    """Shortest-path distances from the points (seg[i], off[i]) to every vertex.
+
+    Returns shape (len(seg), V), +inf where unreachable.  Every origin
+    starts at its segment's two endpoints, and all origins relax together
+    (label correcting): each round adds the edge lengths to the (origin,
+    vertex) labels that improved in the round before and keeps the smaller
+    label with ``np.minimum.at``, until none improves.  A label is the
+    left-to-right float sum ((off + w1) + w2) + ... along one path, and a
+    rounded a + w is never below a, so the labels settle on the least such
+    sum over paths: the fixed point a Dijkstra search reaches, bit for bit.
+    """
+    seg, off = _check_points(network, seg, off)
+    ell = network.lengths[seg]
+    off = np.where(off < 0.0, 0.0, off)  # as min(max(off, 0.0), ell): keeps -0.0
+    off = np.where(off > ell, ell, off)
+    nv = len(network.vertices)
+    dist = np.full((len(seg), nv), np.inf)
+    flat = dist.reshape(-1)
+    base = np.arange(len(seg)) * nv
+    start = np.concatenate([base + network.segments[seg, 0], base + network.segments[seg, 1]])
+    flat[start] = np.concatenate([off, ell - off])
+    indptr, nbr, wt = network._csr
+    mark = np.zeros(flat.size, dtype=bool)  # labels improved this round
+    front = start
+    while front.size:
+        row, node = np.divmod(front, nv)
+        deg = indptr[node + 1] - indptr[node]
+        edge = np.repeat(indptr[node] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        key = np.repeat(row * nv, deg) + nbr[edge]
+        cand = np.repeat(flat[front], deg) + wt[edge]
+        better = cand < flat[key]
+        key = key[better]
+        np.minimum.at(flat, key, cand[better])
+        mark[key] = True
+        front = np.flatnonzero(mark)
+        mark[front] = False
+    return dist
+
+
 def point_vertex_distances(network: LinearNetwork, point) -> np.ndarray:
     """Shortest-path distance from a network point to every vertex.
 
-    Dijkstra seeded with the point's two segment endpoints; unreachable
+    The search starts from the point's two segment endpoints; unreachable
     vertices get +inf.
     """
-    seg, off = _as_seg_off(point)
-    ell = float(network.lengths[seg])
-    if not -VERTEX_TOL <= off <= ell + VERTEX_TOL:  # NaN fails too
-        raise ValueError("offset outside segment")
-    off = min(max(off, 0.0), ell)
-    u, v = (int(k) for k in network.segments[seg])
-    dist = np.full(len(network.vertices), np.inf)
-    heap = []
-    for start, d0 in ((u, off), (v, ell - off)):
-        if d0 < dist[start]:
-            dist[start] = d0
-            heapq.heappush(heap, (d0, start))
-    adj = network.adjacency
-    done = np.zeros(len(network.vertices), dtype=bool)
-    while heap:
-        d, node = heapq.heappop(heap)
-        if done[node]:
-            continue
-        done[node] = True
-        for nb, w in adj[node]:
-            nd = d + w
-            if nd < dist[nb]:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    return dist
+    seg, off = _as_seg_off(network, point)
+    return _vertex_distances(network, [seg], [off])[0]
 
 
 def network_distance(network: LinearNetwork, a, b) -> float:
     """Shortest-path distance between two network points (inf if disconnected)."""
-    seg_a, off_a = _as_seg_off(a)
-    seg_b, off_b = _as_seg_off(b)
+    seg_a, off_a = _as_seg_off(network, a)
+    seg_b, off_b = _as_seg_off(network, b)
     dv = point_vertex_distances(network, (seg_a, off_a))
     u, v = network.segments[seg_b]
     ell = float(network.lengths[seg_b])
@@ -220,58 +278,149 @@ def pairwise_network_distances(network: LinearNetwork, seg, off) -> np.ndarray:
 
     Shares the pair-geometry path of the network second-order summaries.
     """
-    seg_off = (np.asarray(seg, dtype=np.int64), np.asarray(off, dtype=float))
-    out, _ = _pair_geometry(network, seg_off, seg_off)
+    seg, off = np.asarray(seg, dtype=np.int64), np.asarray(off, dtype=float)
+    out = np.empty((len(seg), len(seg)))
+    for rows in _origin_blocks(network, len(seg), len(seg)):
+        out[rows] = _pair_geometry(network, (seg[rows], off[rows]), (seg, off))[0]
     np.fill_diagonal(out, 0.0)
     return out
+
+
+_CELLS = 2**17  # table cells per block of origins
+
+
+def _origin_blocks(network: LinearNetwork, n_origins: int, n_partners: int) -> list:
+    """Slices of consecutive origins, each with about _CELLS cells per table.
+
+    A block's tables have one row per origin and one column per partner,
+    vertex or (sub)segment.  There is always at least one, maybe empty, slice.
+    """
+    width = max(n_partners, len(network.vertices), len(network.segments) + 1)
+    step = max(1, _CELLS // width)
+    return [slice(lo, lo + step) for lo in range(0, max(n_origins, 1), step)]
 
 
 def _pair_geometry(network, origins, partners, reach=-np.inf):
     """Distances and equidistant counts from each origin to each partner.
 
-    origins and partners are (seg, off) array pairs.  One Dijkstra per
-    origin gives its distances to all partners; m(origin, d) is evaluated
-    only where d <= reach.  Unreachable partners get m = 0, partners beyond
-    the reach m = 1, which no lag up to the reach can see.  Returns
-    (dist, m), both of shape (len(origins[0]), len(partners[0])).
+    origins and partners are (seg, off) array pairs; all origins are
+    handled at once, so callers pass blocks from ``_origin_blocks``.
+    m(origin, d) is evaluated only where d <= reach.  Unreachable partners
+    get m = 0, partners beyond the reach m = 1, which no lag up to the
+    reach can see.  Returns (dist, m), both of shape (len(origins[0]),
+    len(partners[0])).
     """
-    seg_p, off_p = partners
-    ends_u = network.segments[seg_p, 0]
-    ends_v = network.segments[seg_p, 1]
+    seg_o = np.asarray(origins[0], dtype=np.int64)
+    off_o = np.asarray(origins[1], dtype=float)
+    seg_p = _segment_ids(network, partners[0])
+    off_p = np.asarray(partners[1], dtype=float)
+    dv = _vertex_distances(network, seg_o, off_o)
     ell = network.lengths[seg_p]
-    dist = np.empty((len(origins[0]), len(seg_p)))
+    ends = network.segments[seg_p]
+    dist = np.minimum(dv[:, ends[:, 0]] + off_p, dv[:, ends[:, 1]] + (ell - off_p))
+    row, col = np.nonzero(seg_o[:, None] == seg_p)  # the direct route
+    dist[row, col] = np.minimum(dist[row, col], np.abs(off_p[col] - off_o[row]))
     m = np.ones(dist.shape, dtype=np.int64)
-    for i, origin in enumerate(zip(origins[0].tolist(), origins[1].tolist())):
-        dv = point_vertex_distances(network, origin)
-        d = np.minimum(dv[ends_u] + off_p, dv[ends_v] + (ell - off_p))
-        same = seg_p == origin[0]
-        d[same] = np.minimum(d[same], np.abs(off_p[same] - origin[1]))
-        near = d <= reach
-        if near.any():
-            m[i, near] = equidistant_counts(network, origin, d[near], dv=dv)
-        m[i, np.isinf(d)] = 0
-        dist[i] = d
+    unreachable = np.isinf(dist)
+    row, col = np.nonzero((dist <= reach) & ~unreachable)
+    if row.size:
+        m[row, col] = _block_counts(network, seg_o, off_o, dv, row, dist[row, col])
+    m[unreachable] = 0
     return dist, m
 
 
-def _segment_tables(network, point, dv):
-    """Per-(sub)segment endpoint distances, splitting the origin's segment."""
-    seg, off = _as_seg_off(point)
-    segs = network.segments
-    da = dv[segs[:, 0]].copy()
-    db = dv[segs[:, 1]].copy()
-    ell = network.lengths.copy()
-    keep = np.ones(len(segs), dtype=bool)
-    keep[seg] = False
-    extra = []
-    ls = float(network.lengths[seg])
-    if off > VERTEX_TOL:  # piece from the start vertex to the origin
-        extra.append((float(dv[segs[seg, 0]]), 0.0, off))
-    if ls - off > VERTEX_TOL:  # piece from the origin to the end vertex
-        extra.append((0.0, float(dv[segs[seg, 1]]), ls - off))
-    da = np.concatenate([da[keep], [e[0] for e in extra]])
-    db = np.concatenate([db[keep], [e[1] for e in extra]])
-    ell = np.concatenate([ell[keep], [e[2] for e in extra]])
+def _row_searchsorted(table, row, x, side):
+    """np.searchsorted(table[row[q]], x[q], side) for every q, by bisection.
+
+    Each row of table is sorted; the queries bisect their rows together.
+    """
+    width = table.shape[1]
+    lo = np.zeros(len(x), dtype=np.int64)
+    hi = np.full(len(x), width)
+    for _ in range(width.bit_length()):
+        mid = (lo + hi) // 2
+        v = table[row, np.minimum(mid, width - 1)]
+        go = (lo < hi) & ((v < x) if side == "left" else (v <= x))
+        lo = np.where(go, mid + 1, lo)
+        hi = np.where(go, hi, mid)
+    return lo
+
+
+def _sorted_breakpoints(values, cap) -> np.ndarray:
+    """Each row's values up to cap, sorted between a -inf and a +inf column.
+
+    Values past cap, and NaN, are dropped; rows keep one width, padded with
+    +inf.
+    """
+    kept = np.where(values <= cap, values, np.inf)
+    width = int((kept < np.inf).sum(axis=1).max(initial=0))
+    pad = np.full((len(values), 1), np.inf)
+    return np.concatenate([-pad, np.sort(kept, axis=1)[:, :width], pad], axis=1)
+
+
+def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
+    """m(origin row[q], rs[q]) for every q, as ``equidistant_counts`` gives it.
+
+    Origin k is (seg[k], off[k]) with vertex distances dv[k].  On each
+    (sub)segment the distance to the origin is a tent that rises from both
+    end distances to its peak.  A lag r further than a few VERTEX_TOL from
+    every end, peak and 0 meets the tent once per end below r unless r is
+    past the peak, so m = #{ends < r} - 2 #{peaks <= r}, read from the
+    origin's sorted ends and peaks; no vertex lies at r.  Lags at or below
+    VERTEX_TOL count 1.  The other lags near a breakpoint, where the
+    tolerance rule decides, go to ``equidistant_counts``.
+    """
+    da, db, ell = _segment_tables(network, seg, off, dv)
+    with np.errstate(invalid="ignore"):  # inf - inf on unreachable rows
+        peaks = da + ((db + ell) - da) / 2.0
+    # float slop of the tent arithmetic grows with the size of the distances
+    scale = max(dv[np.isfinite(dv)].max(initial=0.0), rs.max(initial=0.0)) + network.lengths.max()
+    margin = 4.0 * VERTEX_TOL + 64.0 * np.finfo(float).eps * scale
+    cap = rs.max(initial=0.0) + 2.0 * margin  # breakpoints beyond it change nothing
+    ends = _sorted_breakpoints(np.concatenate([da, db], axis=1), cap)
+    peaks = _sorted_breakpoints(peaks, cap)
+    e = _row_searchsorted(ends, row, rs, "left")
+    p = _row_searchsorted(peaks, row, rs, "right")
+    counts = (e - 1) - 2 * (p - 1)
+    gap = np.minimum.reduce(
+        [rs, rs - ends[row, e - 1], ends[row, e] - rs, rs - peaks[row, p - 1], peaks[row, p] - rs]
+    )
+    near = gap <= margin
+    counts[rs <= VERTEX_TOL] = 1
+    slow = np.flatnonzero(near & (rs > VERTEX_TOL))  # sorted by origin, as row is
+    for q in np.split(slow, np.flatnonzero(np.diff(row[slow])) + 1):
+        if q.size:
+            k = row[q[0]]
+            counts[q] = equidistant_counts(network, (seg[k], off[k]), rs[q], dv=dv[k])
+    return counts
+
+
+def _segment_tables(network, seg, off, dv):
+    """Per-(sub)segment end distances for each origin (seg[k], off[k]).
+
+    Returns (da, db, ell), each of shape (len(seg), S + 1), from the vertex
+    distances dv of shape (len(seg), V).  Column s holds segment s, except
+    that each origin's own segment is split there: the piece from its start
+    vertex to the origin takes the segment's column, the piece from the
+    origin to its end vertex column S.  A piece no longer than VERTEX_TOL is
+    left out, as ends at +inf.
+    """
+    segs, k, s = network.segments, np.arange(len(seg)), len(network.segments)
+    da = np.empty((len(seg), s + 1))
+    db = np.empty_like(da)
+    ell = np.empty_like(da)
+    da[:, :s] = dv[:, segs[:, 0]]
+    db[:, :s] = dv[:, segs[:, 1]]
+    ell[:, :s] = network.lengths
+    ls = network.lengths[seg]
+    head = off > VERTEX_TOL  # piece from the start vertex to the origin
+    tail = ls - off > VERTEX_TOL  # piece from the origin to the end vertex
+    da[k, seg] = np.where(head, dv[k, segs[seg, 0]], np.inf)
+    db[k, seg] = np.where(head, 0.0, np.inf)
+    ell[k, seg] = off
+    da[:, s] = np.where(tail, 0.0, np.inf)
+    db[:, s] = np.where(tail, dv[k, segs[seg, 1]], np.inf)
+    ell[:, s] = ls - off
     return da, db, ell
 
 
@@ -280,14 +429,16 @@ def equidistant_counts(network: LinearNetwork, point, rs, dv=None) -> np.ndarray
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
     if not (rs >= 0).all():  # NaN fails too
         raise ValueError("r must be nonnegative")
+    seg, off = _as_seg_off(network, point)
     if dv is None:
-        dv = point_vertex_distances(network, point)
-    da, db, ell = _segment_tables(network, point, dv)
+        dv = point_vertex_distances(network, (seg, off))
+    tables = _segment_tables(network, np.array([seg]), np.array([off]), dv[None, :])
+    da, db, ell = (t[0] for t in tables)
     tol = VERTEX_TOL
     rmax = rs.max(initial=0.0)
     # no lag up to rmax crosses a (sub)segment whose nearer end is at rmax
     # or beyond, or hits a vertex beyond rmax + tol; this also drops the
-    # unreachable ones (endpoints of one segment are co-reachable)
+    # unreachable ones and the pieces left out
     ok = np.minimum(da, db) < rmax
     da, db, ell = da[ok], db[ok], ell[ok]
 

@@ -16,10 +16,11 @@ Pair (i, j) contributions, ordered pairs i != j:
 Pairs beyond the lag reach are never built.  The reach is the largest
 lag any grid node can see: r_max and h_max for K, r_max + b_r and
 h_max + b_h for g.  ``_pairs`` lists the pairs within it as flat row-major
-arrays (planar candidates come from a time-sorted sweep, network ones from
-one Dijkstra per origin), equidistant counts are evaluated for them only,
-and every surface is one sequential ``bincount`` of their weights, keyed
-by lag node or by (origin, lag node).  Network pairs with no weight are
+arrays, taking origins in blocks (planar candidates come from a
+time-sorted sweep, network ones from the block pair tables of
+``network._pair_geometry``), equidistant counts are evaluated for them
+only, and every surface is one sequential ``bincount`` of their weights,
+keyed by lag node or by (origin, lag node).  Network pairs with no weight are
 skipped and counted in ``skipped_pairs``: unreachable pairs (different
 connected components), pairs whose temporal count is zero, and pairs
 within the lag reach whose equidistant count is zero.
@@ -34,7 +35,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import PointPattern, temporal_multiplicity
-from .network import _pair_geometry, point_vertex_distances
+from .network import _origin_blocks, _pair_geometry, point_vertex_distances
 
 __all__ = [
     "SummaryConfig",
@@ -220,16 +221,19 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
         else:
             corr = np.ones_like(d)
     else:
-        dist, m_l = _pair_geometry(
-            X.network, (X.net_seg, X.net_off), (Z.net_seg, Z.net_off), rmax
-        )
-        dt_all = np.abs(X.t[:, None] - Z.t[None, :])
-        m_t = temporal_multiplicity(X.interval, X.t[:, None], dt_all)
-        dead = (m_l == 0) | (m_t == 0)
-        skipped = int(dead.sum())
-        i, j = np.nonzero(~dead & (dist <= rmax) & (dt_all <= hmax))
-        d, dt = dist[i, j], dt_all[i, j]
-        corr = (m_l[i, j] * m_t[i, j]).astype(float)
+        net, blocks = X.network, []
+        for rows in _origin_blocks(net, X.n, Z.n):
+            dist, m_l = _pair_geometry(
+                net, (X.net_seg[rows], X.net_off[rows]), (Z.net_seg, Z.net_off), rmax
+            )
+            dt = np.abs(X.t[rows, None] - Z.t[None, :])
+            m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
+            dead = (m_l == 0) | (m_t == 0)
+            skipped += int(dead.sum())
+            r, c = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
+            corr = (m_l[r, c] * m_t[r, c]).astype(float)
+            blocks.append((r + rows.start, c, dist[r, c], dt[r, c], corr))
+        i, j, d, dt, corr = (np.concatenate(a) for a in zip(*blocks))
     # planar pairs spanning the full window extent carry zero correction
     keep = corr > 0
     if Z is X:

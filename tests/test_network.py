@@ -200,7 +200,8 @@ def unfiltered_counts(net, point, rs):
     """The count rule over every (sub)segment and every reachable vertex."""
     rs = np.asarray(rs, dtype=float)
     dv = point_vertex_distances(net, point)
-    da, db, ell = _segment_tables(net, point, dv)
+    tables = _segment_tables(net, np.array([point[0]]), np.array([point[1]]), dv[None, :])
+    da, db, ell = (t[0] for t in tables)
     ok = np.isfinite(da)
     da, db, ell = da[ok], db[ok], ell[ok]
     tol = VERTEX_TOL

@@ -1,0 +1,336 @@
+"""Block shortest paths and equidistant counts against the heap oracle.
+
+``network._vertex_distances`` relaxes the labels of all origins together,
+and ``network._pair_geometry`` reads equidistant counts off each origin's
+sorted breakpoints.  Both must agree bit for bit with ``network_reference``:
+a binary-heap Dijkstra per origin, and one ``equidistant_counts`` call per
+origin.  The networks are lattices with diagonals, a 400-segment chain, a
+cycle, disconnected pieces and equal-length alternative routes; offsets sit
+at segment ends, midpoints and quarter points, where distances tie.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stpoint import (
+    IntensitySpec,
+    LinearNetwork,
+    NetworkPoint,
+    PointPattern,
+    SpatialWindow,
+    SummaryConfig,
+    TimeInterval,
+    equidistant_count,
+    equidistant_counts,
+    network_distance,
+    pairwise_network_distances,
+    point_vertex_distances,
+    second_order_global,
+    second_order_local,
+    sim_poisson,
+)
+from stpoint import network, summaries
+from stpoint.network import VERTEX_TOL, _pair_geometry, _row_searchsorted, _vertex_distances
+
+from network_reference import dense_pairs, dijkstra, per_origin_pair_geometry
+
+UNIT_T = TimeInterval(0.0, 1.0)
+
+
+def lattice(k, diagonals=(), spacing=1.0, shift=(0.0, 0.0)):
+    """k x k vertex lattice; diagonals lists the cells (i, j) given one."""
+    xs = spacing * np.arange(k)
+    verts = np.array([(x + shift[0], y + shift[1]) for y in xs for x in xs])
+    segs = [(j * k + i, j * k + i + 1) for j in range(k) for i in range(k - 1)]
+    segs += [(j * k + i, (j + 1) * k + i) for j in range(k - 1) for i in range(k)]
+    segs += [(j * k + i, (j + 1) * k + i + 1) for i, j in diagonals]
+    return verts, segs
+
+
+def join(*parts):
+    """One network from several (vertices, segments) parts, not connected."""
+    verts, segs, base = [], [], 0
+    for v, s in parts:
+        verts.append(v)
+        segs += [(a + base, b + base) for a, b in s]
+        base += len(v)
+    return LinearNetwork(np.vstack(verts), np.array(segs))
+
+
+def chain(k):
+    verts = np.column_stack([np.linspace(0.0, 1.0, k + 1), np.zeros(k + 1)])
+    return LinearNetwork(verts, np.array([(i, i + 1) for i in range(k)]))
+
+
+def cycle(k):
+    angle = 2.0 * np.pi * np.arange(k) / k
+    verts = np.column_stack([np.cos(angle), np.sin(angle)])
+    return LinearNetwork(verts, np.array([(i, (i + 1) % k) for i in range(k)]))
+
+
+# equal-length routes of one, two and three hops between vertices 0 and 1:
+# 0-1 straight (length 2), 0-2-1 (1 + 1) and 0-3-4-1 (0.5 + 1 + 0.5), and
+# a pair of routes whose float sums differ: 0.1 + 0.2 against 0.3
+ALTERNATIVES = LinearNetwork(
+    np.array(
+        [[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 0.5],
+         [1.0, 1.0], [1.1, 1.0], [1.3, 1.0]]
+    ),
+    np.array([[0, 2], [2, 1], [0, 3], [3, 4], [4, 1], [1, 5], [5, 6], [6, 7], [5, 7]]),
+)
+FIXED = {
+    "chain400": chain(400),
+    "cycle8": cycle(8),
+    "alternatives": ALTERNATIVES,
+    "two_lattices": join(lattice(3, [(0, 0)]), lattice(2, shift=(10.0, 0.0))),
+}
+
+
+@st.composite
+def networks(draw):
+    name = draw(st.sampled_from(["lattice", *FIXED]))
+    if name != "lattice":
+        return FIXED[name]
+    k = draw(st.integers(2, 6))
+    cells = [(i, j) for i in range(k - 1) for j in range(k - 1)]
+    diag = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    spacing = draw(st.sampled_from([1.0, 0.1, 0.3, 7.25]))
+    return join(lattice(k, diag, spacing))
+
+
+@st.composite
+def points(draw, net, min_size=1, max_size=12):
+    """(seg, off) arrays; offsets at 0, ell, ell/2, quarter points or anywhere."""
+    n = draw(st.integers(min_size, max_size))
+    ids = st.integers(0, len(net.segments) - 1)
+    seg = np.array(draw(st.lists(ids, min_size=n, max_size=n)), dtype=np.int64)
+    ell = net.lengths[seg]
+    where = draw(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+            min_size=n, max_size=n,
+        )
+    )
+    return seg, np.array(where, dtype=float) * ell
+
+
+@st.composite
+def network_and_points(draw):
+    net = draw(networks())
+    return net, draw(points(net))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(network_and_points())
+def test_vertex_distances_match_heap_dijkstra(case):
+    net, (seg, off) = case
+    got = _vertex_distances(net, seg, off)
+    want = np.array([dijkstra(net, (s, o)) for s, o in zip(seg.tolist(), off.tolist())])
+    assert same_bits(got, want)
+    for k in range(len(seg)):
+        assert same_bits(point_vertex_distances(net, (int(seg[k]), float(off[k]))), want[k])
+
+
+def test_vertex_distances_at_offsets_within_tolerance():
+    # offsets up to VERTEX_TOL past either end are clamped onto the segment
+    net = FIXED["alternatives"]
+    ell = net.lengths
+    seg = np.array([0, 1, 2, 8, 3])
+    off = np.array([-0.5 * VERTEX_TOL, ell[1] + VERTEX_TOL, -0.0, ell[8], 0.5 * ell[3]])
+    want = np.array([dijkstra(net, (s, o)) for s, o in zip(seg.tolist(), off.tolist())])
+    assert same_bits(_vertex_distances(net, seg, off), want)
+
+
+def test_vertex_distances_on_long_chain():
+    # 400 hops end to end: the relaxation runs one round per hop
+    net = FIXED["chain400"]
+    seg, off = np.array([0, 399, 200]), np.array([0.0, net.lengths[399], 0.5 * net.lengths[200]])
+    got = _vertex_distances(net, seg, off)
+    want = np.array([dijkstra(net, (s, o)) for s, o in zip(seg.tolist(), off.tolist())])
+    assert same_bits(got, want)
+    assert got[0, -1] == pytest.approx(1.0) and got[1, 0] == pytest.approx(1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_geometry_matches_per_origin_loop(data):
+    net = data.draw(networks())
+    origins = data.draw(points(net))
+    partners = origins if data.draw(st.booleans()) else data.draw(points(net, 0, 15))
+    reach = data.draw(st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 1.0, 1.5, 3.0, np.inf]))
+    got = _pair_geometry(net, origins, partners, reach)
+    want = per_origin_pair_geometry(net, origins, partners, reach)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_pair_geometry_far_from_breakpoints_uses_no_per_origin_call(monkeypatch):
+    # random offsets on an irregular lattice: no lag sits near a breakpoint,
+    # so the counts come from the sorted breakpoints alone
+    verts, segs = lattice(5, [(0, 0), (2, 1), (3, 3)], spacing=0.37)
+    net = join((verts + np.random.default_rng(0).uniform(-0.05, 0.05, verts.shape), segs))
+    rng = np.random.default_rng(1)
+    seg = rng.integers(len(net.segments), size=40)
+    off = rng.uniform(0.05, 0.95, 40) * net.lengths[seg]
+    want = per_origin_pair_geometry(net, (seg, off), (seg, off), 1.2)
+    calls = []
+    monkeypatch.setattr(network, "equidistant_counts", lambda *a, **k: calls.append(a))
+    got = _pair_geometry(net, (seg, off), (seg, off), 1.2)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert calls == [] and (want[1][want[0] <= 1.2] >= 2).any()
+
+
+@pytest.mark.parametrize("below", [0.0, 0.5 * VERTEX_TOL, 3 * VERTEX_TOL, 1e-6])
+def test_counts_at_the_largest_lag_see_breakpoints_just_above_it(below):
+    # from a vertex of the 4-cycle the antipode, half the perimeter away, is
+    # a vertex hit and the peak of both arcs; within the tolerance below it the rule
+    # counts 1 where crossings alone would give 2, and the lag is the
+    # largest of its origin, so breakpoints above it must still be seen
+    net = cycle(4)
+    part = (np.array([0, 1, 1]), np.array([0.5, 0.5, net.lengths[1] - below]))
+    origin = (np.array([0]), np.array([0.0]))
+    got = _pair_geometry(net, origin, part, 3.0)
+    want = per_origin_pair_geometry(net, origin, part, 3.0)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_searchsorted_matches_numpy(data):
+    rows = data.draw(st.integers(1, 5))
+    width = data.draw(st.integers(1, 9))
+    values = st.sampled_from([-np.inf, 0.0, 0.5, 1.0, 1.5, 2.0, np.inf])
+    cells = data.draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+    table = np.sort(np.reshape(cells, (rows, width)), axis=1)
+    q = data.draw(st.integers(0, 12))
+    row = data.draw(st.lists(st.integers(0, rows - 1), min_size=q, max_size=q))
+    row = np.array(row, dtype=np.int64)
+    x = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]), min_size=q, max_size=q))
+    x = np.array(x, dtype=float)
+    for side in ("left", "right"):
+        want = [np.searchsorted(table[r], v, side=side) for r, v in zip(row, x)]
+        assert _row_searchsorted(table, row, x, side).tolist() == want
+
+
+def tie_pattern(net, n, rng):
+    seg = rng.integers(len(net.segments), size=n)
+    frac = rng.uniform(0.0, 1.0, n)
+    snap = rng.random(n) < 0.4
+    frac[snap] = rng.choice([0.0, 0.5, 1.0], size=int(snap.sum()))
+    off = frac * net.lengths[seg]
+    xy = net.segment_point(seg, off)
+    v = net.vertices
+    win = SpatialWindow(v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
+    coords = np.column_stack([xy, rng.uniform(0.0, 1.0, n)])
+    return PointPattern(coords, win, UNIT_T, {}, net, seg, off)
+
+
+@pytest.mark.parametrize("cells, blocks", [(1, 30), (300, 4), (2000, 1)])
+@pytest.mark.parametrize("statistic", ["K", "g"])
+def test_surfaces_match_dense_reference_across_blocks(monkeypatch, cells, blocks, statistic):
+    # the cell budget splits 30 origins into blocks of 1, 9 and 30 rows; the
+    # second lattice is out of reach of the first, so pairs are skipped
+    net = join(lattice(4, [(0, 0), (1, 2)], 0.5), lattice(2, spacing=0.5, shift=(2.0, 0.0)))
+    cfg = SummaryConfig(statistic=statistic, rs=np.array([0.25, 0.5, 1.0]))
+    skipped = 0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        pat = tie_pattern(net, 30, rng)
+        lam = rng.uniform(0.5, 2.0, pat.n)
+        with monkeypatch.context() as m:
+            m.setattr(network, "_CELLS", cells)
+            assert len(network._origin_blocks(net, pat.n, pat.n)) == blocks
+            glob = second_order_global(pat, lam, cfg)
+            loc = second_order_local(pat, lam, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(summaries, "_pairs", dense_pairs)
+            want_glob = second_order_global(pat, lam, cfg)
+            want_loc = second_order_local(pat, lam, cfg)
+        assert np.array_equal(glob.est, want_glob.est)
+        assert glob.skipped_pairs == want_glob.skipped_pairs == loc.skipped_pairs
+        assert np.array_equal([s.est for s in loc.surfaces], [s.est for s in want_loc.surfaces])
+        skipped += glob.skipped_pairs
+    assert skipped > 0
+
+
+def path_graph():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    return LinearNetwork(verts, np.array([[0, 1], [1, 2]]))
+
+
+def test_wrapped_segment_ids_are_refused():
+    # id -1 used to index the last segment while the same-segment test
+    # compared ids, so the direct route between these points was missed:
+    # the answer was 1.0, the distance along segment 1 is 0.2
+    net = path_graph()
+    with pytest.raises(ValueError, match=r"segment id outside \[0, 2\)"):
+        pairwise_network_distances(net, [1, -1], [0.4, 0.6])
+    assert pairwise_network_distances(net, [1, 1], [0.4, 0.6])[0, 1] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 2, 7])
+def test_segment_ids_outside_range_raise_value_error(bad):
+    net = path_graph()
+    calls = [
+        lambda: point_vertex_distances(net, (bad, 0.5)),
+        lambda: point_vertex_distances(net, NetworkPoint(bad, 0.5)),
+        lambda: network_distance(net, (bad, 0.5), (0, 0.5)),
+        lambda: network_distance(net, (0, 0.5), (bad, 0.5)),
+        lambda: pairwise_network_distances(net, [0, bad], [0.5, 0.5]),
+        lambda: equidistant_count(net, (bad, 0.5), 0.3),
+        lambda: equidistant_counts(net, (bad, 0.5), [0.3]),
+        lambda: equidistant_counts(net, (bad, 0.5), [0.3], dv=np.zeros(3)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="segment id outside"):
+            call()
+
+
+def network_pattern(net, seg, off):
+    seg, off = np.asarray(seg), np.asarray(off, dtype=float)
+    xy = net.segment_point(np.clip(seg, 0, len(net.segments) - 1), np.nan_to_num(off))
+    coords = np.column_stack([xy, np.full(len(seg), 0.5)])
+    return PointPattern(coords, SpatialWindow(-1.0, 2.0, -1.0, 2.0), UNIT_T, {}, net, seg, off)
+
+
+@pytest.mark.parametrize(
+    "seg, off, match",
+    [
+        ([0, -1], [0.5, 0.5], "segment id outside"),
+        ([0, 2], [0.5, 0.5], "segment id outside"),
+        ([0, 1], [0.5, -3 * VERTEX_TOL], "offset outside segment"),
+        ([0, 1], [0.5, 1.0 + 3 * VERTEX_TOL], "offset outside segment"),
+        ([0, 1], [0.5, np.nan], "offset outside segment"),
+    ],
+)
+def test_pattern_refuses_points_off_the_network(seg, off, match):
+    with pytest.raises(ValueError, match=match):
+        network_pattern(path_graph(), seg, off)
+
+
+def test_pattern_accepts_offsets_within_tolerance():
+    pat = network_pattern(path_graph(), [0, 1], [-0.5 * VERTEX_TOL, 1.0 + 0.5 * VERTEX_TOL])
+    assert pat.n == 2
+
+
+def test_network_pair_table_memory_fence():
+    # origins are taken in blocks, so no n x n distance, count or time-lag
+    # table is built: the dense tables peaked at about 250 MB here
+    verts, segs = lattice(11, spacing=0.1)
+    net = join((verts, segs))
+    pat = sim_poisson(IntensitySpec.constant(2500.0 / net.total_length), network=net, seed=0)
+    assert 2400 < pat.n < 2600
+    tracemalloc.start()
+    try:
+        second_order_global(pat, pat.n / net.total_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
