@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -557,21 +558,19 @@ def _cmd_test_local(args):
     window, interval = _window(args), _interval(args)
     bg = run.read(read_pattern_csv, args.background, window=window, interval=interval, network=net)
     alt = run.read(read_pattern_csv, args.alt, window=window, interval=interval, network=net)
-    if window is None and net is None:
-        window = SpatialWindow(
-            min(bg.window.x0, alt.window.x0),
-            max(bg.window.x1, alt.window.x1),
-            min(bg.window.y0, alt.window.y0),
-            max(bg.window.y1, alt.window.y1),
-        )
-    if interval is None:
-        interval = TimeInterval(
-            min(bg.interval.t0, alt.interval.t0),
-            max(bg.interval.t1, alt.interval.t1),
-        )
-    # re-read under the shared domain so both patterns match exactly
-    bg = read_pattern_csv(args.background, window=window, interval=interval, network=net)
-    alt = read_pattern_csv(args.alt, window=window, interval=interval, network=net)
+    # the union of the two domains (each is the given one where one was given)
+    window = SpatialWindow(
+        min(bg.window.x0, alt.window.x0),
+        max(bg.window.x1, alt.window.x1),
+        min(bg.window.y0, alt.window.y0),
+        max(bg.window.y1, alt.window.y1),
+    )
+    interval = TimeInterval(
+        min(bg.interval.t0, alt.interval.t0),
+        max(bg.interval.t1, alt.interval.t1),
+    )
+    bg = replace(bg, window=window, interval=interval)
+    alt = replace(alt, window=window, interval=interval)
     res = localtest(
         bg,
         alt,

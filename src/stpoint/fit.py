@@ -730,17 +730,15 @@ def locstppm(
     coef = np.full((n, p), np.nan)
     fitted = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
-    d2s = (
-        (quad.coords[:, 0][None, :] - pattern.x[:, None]) ** 2
-        + (quad.coords[:, 1][None, :] - pattern.y[:, None]) ** 2
-    )
-    d2t = (quad.coords[:, 2][None, :] - pattern.t[:, None]) ** 2
-    kernels = np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
+    qx, qy, qt = quad.coords.T
     data_rows = np.flatnonzero(quad.is_data)
     row_of_event = np.empty(n, dtype=int)
     row_of_event[quad.data_index[quad.is_data]] = data_rows
     for i in range(n):
-        wi = quad.weights * kernels[i]
+        # event i's kernel row, built here so no (n x quadrature) table exists
+        d2s = (qx - pattern.x[i]) ** 2 + (qy - pattern.y[i]) ** 2
+        d2t = (qt - pattern.t[i]) ** 2
+        wi = quad.weights * np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
         if not (wi > 0).all():  # kernel weights underflowed: not converged
             continue
         try:

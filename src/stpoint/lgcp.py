@@ -30,6 +30,7 @@ import numpy as np
 from .core import PointPattern, SpatialWindow, TimeInterval
 from .fit import FittedPoissonModel, LocalPoissonFit, locstppm, stppm
 from .optimize import _lockstep
+from .simulate import _domain, _time_sorted
 from .summaries import SummaryConfig, second_order_global, second_order_local
 
 __all__ = [
@@ -296,7 +297,9 @@ def stlgcppm(
     intensity from step one; local second-order fits run one minimum
     contrast per event on its local surface.  Those fits are batched into
     one lockstep simplex search, and each is identical to a lone
-    ``min_contrast`` call on its surface.
+    ``min_contrast`` call on its surface.  With ``first="local"`` a
+    RuntimeError is raised when the local first-order fit fails to converge
+    at any event, since its fitted intensity there is NaN.
     """
     if family not in COV_FAMILIES:
         raise ValueError(f"unknown covariance family {family!r}")
@@ -374,10 +377,7 @@ def sim_lgcp(
     sigma = float(params["sigma"])
     if not (0 <= sigma < math.inf):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    if window is None:
-        window = SpatialWindow(0.0, 1.0, 0.0, 1.0)
-    if interval is None:
-        interval = TimeInterval(0.0, 1.0)
+    window, interval, _area = _domain(window, interval, None)
     rng = np.random.default_rng(seed)
 
     ex = window.width / gx
@@ -422,8 +422,7 @@ def sim_lgcp(
     starts = np.repeat(lo, counts, axis=0)
     u = rng.random((total, 3))
     coords = starts + u * np.array([ex, ey, et])
-    order = np.argsort(coords[:, 2], kind="stable")
-    pattern = PointPattern(coords[order], window, interval)
+    pattern = _time_sorted(window, interval, *coords.T)
     if return_field:
         return pattern, field.reshape(gt, gy, gx)
     return pattern

@@ -167,7 +167,8 @@ def snap_to_network(network: LinearNetwork, x, y):
     """Nearest network location for each planar point.
 
     Returns (seg, off, snapped_xy, distance).  Ties are broken toward the
-    lowest segment index.
+    lowest segment index.  Points are taken in row blocks of
+    ``_origin_blocks``, so no (points x segments) table is built whole.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -176,17 +177,23 @@ def snap_to_network(network: LinearNetwork, x, y):
     b = network.vertices[network.segments[:, 1]]
     ab = b - a
     ell2 = (ab**2).sum(axis=1)
-    # projection parameter clamped to the segment, for all point/segment pairs
-    ap = p[:, None, :] - a[None, :, :]
-    tt = np.clip((ap * ab[None, :, :]).sum(axis=2) / ell2[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
-    d2 = ((p[:, None, :] - proj) ** 2).sum(axis=2)
-    seg = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index
-    idx = np.arange(len(p))
-    off = tt[idx, seg] * network.lengths[seg]
-    snapped = proj[idx, seg]
-    dist = np.sqrt(d2[idx, seg])
-    return seg.astype(np.int64), off, snapped, dist
+    seg = np.empty(len(p), dtype=np.int64)
+    off, dist = np.empty(len(p)), np.empty(len(p))
+    snapped = np.empty((len(p), 2))
+    for rows in _origin_blocks(network, len(p), 0):
+        q = p[rows]
+        # projection parameter clamped to the segment, for all point/segment pairs
+        ap = q[:, None, :] - a[None, :, :]
+        tt = np.clip((ap * ab[None, :, :]).sum(axis=2) / ell2[None, :], 0.0, 1.0)
+        proj = a[None, :, :] + tt[:, :, None] * ab[None, :, :]
+        d2 = ((q[:, None, :] - proj) ** 2).sum(axis=2)
+        s = np.argmin(d2, axis=1)  # argmin takes the first minimum: lowest index
+        idx = np.arange(len(q))
+        seg[rows] = s
+        off[rows] = tt[idx, s] * network.lengths[s]
+        snapped[rows] = proj[idx, s]
+        dist[rows] = np.sqrt(d2[idx, s])
+    return seg, off, snapped, dist
 
 
 def _segment_ids(network: LinearNetwork, seg) -> np.ndarray:
@@ -262,15 +269,9 @@ def point_vertex_distances(network: LinearNetwork, point) -> np.ndarray:
 
 def network_distance(network: LinearNetwork, a, b) -> float:
     """Shortest-path distance between two network points (inf if disconnected)."""
-    seg_a, off_a = _as_seg_off(network, a)
-    seg_b, off_b = _as_seg_off(network, b)
-    dv = point_vertex_distances(network, (seg_a, off_a))
-    u, v = network.segments[seg_b]
-    ell = float(network.lengths[seg_b])
-    best = min(dv[u] + off_b, dv[v] + (ell - off_b))
-    if seg_a == seg_b:
-        best = min(best, abs(off_a - off_b))
-    return float(best)
+    (seg_a, off_a), (seg_b, off_b) = _as_seg_off(network, a), _as_seg_off(network, b)
+    seg, off = _check_points(network, [seg_a, seg_b], [off_a, off_b])
+    return float(_pair_geometry(network, (seg[:1], off[:1]), (seg[1:], off[1:]))[0][0, 0])
 
 
 def pairwise_network_distances(network: LinearNetwork, seg, off) -> np.ndarray:

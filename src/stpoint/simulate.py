@@ -4,6 +4,8 @@ Two generators: an inhomogeneous Poisson simulator by thinning, and a
 self-exciting branching simulator (background Poisson events triggering
 power-law decaying offspring cascades) on planar windows or linear
 networks.  All randomness comes from one numpy Generator seeded per call.
+``lgcp.sim_lgcp`` shares their domain defaults (``_domain``) and their
+time-sorted assembly (``_time_sorted``).
 """
 
 from __future__ import annotations
@@ -86,7 +88,22 @@ def _as_intensity(lam) -> IntensitySpec:
     return IntensitySpec.constant(lam)
 
 
-def _network_window(network: LinearNetwork) -> SpatialWindow:
+def _domain(window, interval, network):
+    """(window, interval, spatial measure) of a simulation domain.
+
+    The interval defaults to [0, 1].  On a network the window is the
+    network's bounding box, padded along a flat axis, and the measure its
+    total length; a window given with a network is refused.  Otherwise the
+    window defaults to the unit square and the measure is its area.
+    """
+    if interval is None:
+        interval = TimeInterval(0.0, 1.0)
+    if network is None:
+        if window is None:
+            window = SpatialWindow(0.0, 1.0, 0.0, 1.0)
+        return window, interval, window.area
+    if window is not None:
+        raise ValueError("a window cannot be given with a network; its bounding box is the window")
     v = network.vertices
     x0, x1 = float(v[:, 0].min()), float(v[:, 0].max())
     y0, y1 = float(v[:, 1].min()), float(v[:, 1].max())
@@ -95,7 +112,41 @@ def _network_window(network: LinearNetwork) -> SpatialWindow:
         x0, x1 = x0 - pad, x1 + pad
     if y1 <= y0:
         y0, y1 = y0 - pad, y1 + pad
-    return SpatialWindow(x0, x1, y0, y1)
+    return SpatialWindow(x0, x1, y0, y1), interval, network.total_length
+
+
+def _uniform_events(rng, n, window, interval, network):
+    """n events uniform on the domain: x then y (or the arc position), then t.
+
+    Returns (x, y, t, seg, off); seg and off are None off a network.
+    """
+    if network is None:
+        x = rng.uniform(window.x0, window.x1, n)
+        y = rng.uniform(window.y0, window.y1, n)
+        seg = off = None
+    else:
+        seg, off = network.location_at(rng.uniform(0.0, network.total_length, n))
+        xy = network.segment_point(seg, off)
+        x, y = xy[:, 0], xy[:, 1]
+    return x, y, rng.uniform(interval.t0, interval.t1, n), seg, off
+
+
+def _time_sorted(
+    window, interval, x, y, t, network=None, seg=None, off=None, marks=None, keep=slice(None)
+):
+    """The events selected by ``keep`` as a pattern, in stable time order.
+
+    ``marks`` maps names to continuous values; they and the network
+    locations (seg, off) follow their events.
+    """
+    order = np.argsort(t[keep], kind="stable")
+    coords = np.column_stack([x[keep], y[keep], t[keep]])[order]
+    marks = {k: MarkColumn("continuous", v[keep][order]) for k, v in (marks or {}).items()}
+    if network is None:
+        return PointPattern(coords, window, interval, marks)
+    return PointPattern(
+        coords, window, interval, marks, network, seg[keep][order], off[keep][order]
+    )
 
 
 def _bound_intensity(lam: IntensitySpec, window, interval, network) -> float:
@@ -133,51 +184,19 @@ def sim_poisson(
 
     ``lam`` is a constant or an IntensitySpec.  Candidates are drawn
     uniformly at rate lam_max (grid maximum inflated by 1.2) and kept with
-    probability lam/lam_max; survivors are sorted by time.
+    probability lam/lam_max; survivors are sorted by time.  An intensity
+    that is zero everywhere warns and gives an empty pattern.
     """
     lam = _as_intensity(lam)
-    if interval is None:
-        interval = TimeInterval(0.0, 1.0)
-    if network is None:
-        if window is None:
-            window = SpatialWindow(0.0, 1.0, 0.0, 1.0)
-        measure = window.area
-    else:
-        window = _network_window(network)
-        measure = network.total_length
+    window, interval, measure = _domain(window, interval, network)
     rng = np.random.default_rng(seed)
-
     lam_max = _bound_intensity(lam, window, interval, network)
     if lam_max == 0.0:
         warnings.warn("intensity is zero everywhere; returning an empty pattern")
-        empty = np.empty((0, 3))
-        if network is None:
-            return PointPattern(empty, window, interval)
-        return PointPattern(
-            empty, window, interval, {}, network,
-            np.empty(0, dtype=np.int64), np.empty(0),
-        )
-
     n_cand = rng.poisson(lam_max * measure * interval.length)
-    if network is None:
-        x = rng.uniform(window.x0, window.x1, n_cand)
-        y = rng.uniform(window.y0, window.y1, n_cand)
-        seg = off = None
-    else:
-        arc = rng.uniform(0.0, network.total_length, n_cand)
-        seg, off = network.location_at(arc)
-        xy = network.segment_point(seg, off)
-        x, y = xy[:, 0], xy[:, 1]
-    t = rng.uniform(interval.t0, interval.t1, n_cand)
+    x, y, t, seg, off = _uniform_events(rng, n_cand, window, interval, network)
     keep = rng.random(n_cand) * lam_max < lam.evaluate(x, y, t)
-
-    order = np.argsort(t[keep], kind="stable")
-    coords = np.column_stack([x[keep], y[keep], t[keep]])[order]
-    if network is None:
-        return PointPattern(coords, window, interval)
-    return PointPattern(
-        coords, window, interval, {}, network, seg[keep][order], off[keep][order]
-    )
+    return _time_sorted(window, interval, x, y, t, network, seg, off, keep=keep)
 
 
 @dataclass(frozen=True)
@@ -224,10 +243,11 @@ def gr_magnitudes(rng, n: int, b: float, m0: float) -> np.ndarray:
     return m0 + rng.exponential(1.0 / (b * math.log(10.0)), n)
 
 
-def _productivity(params: EtasParams, betacov: float, m) -> np.ndarray:
+def _kernel_masses(params: EtasParams) -> Tuple[float, float]:
+    """Integrals A_t and A_s of the time and space trigger kernels."""
     a_t = params.c ** (1.0 - params.p) / (params.p - 1.0)
     a_s = math.pi * params.d ** (1.0 - params.q) / (params.q - 1.0)
-    return params.k0 * np.exp(betacov * np.asarray(m)) * a_t * a_s
+    return a_t, a_s
 
 
 def branching_ratio(
@@ -238,8 +258,7 @@ def branching_ratio(
     if betacov >= rate:
         raise ValueError("magnitude productivity diverges: betacov >= b*ln(10)")
     mean_exp = math.exp(betacov * m0) * rate / (rate - betacov)
-    a_t = params.c ** (1.0 - params.p) / (params.p - 1.0)
-    a_s = math.pi * params.d ** (1.0 - params.q) / (params.q - 1.0)
+    a_t, a_s = _kernel_masses(params)
     return params.k0 * mean_exp * a_t * a_s
 
 
@@ -259,51 +278,30 @@ def sim_etas(
     Background events arrive as Poisson(mu) uniform on the domain with
     Gutenberg-Richter magnitudes.  An event of magnitude m spawns
     Poisson(k0 * exp(betacov*m) * A_t * A_s) offspring with power-law time
-    lags and radial displacements; on networks offspring are snapped back
-    to the nearest network location.  Events outside the domain are
-    discarded at the end and the survivors are sorted by time, marked with
-    magnitude and generation.
+    lags and radial displacements; on networks each generation's offspring
+    are snapped once to the nearest network location.  Events outside the
+    domain are discarded at the end and the survivors are sorted by time,
+    marked with magnitude and generation.
 
     Requires a subcritical cascade (branching ratio < 1); a run exceeding
     10000 generations aborts.
     """
     if not isinstance(params, EtasParams):
         params = EtasParams.from_vector(params)
-    if interval is None:
-        interval = TimeInterval(0.0, 1.0)
-    if network is None:
-        if window is None:
-            window = SpatialWindow(0.0, 1.0, 0.0, 1.0)
-        measure = window.area
-    else:
-        window = _network_window(network)
-        measure = network.total_length
-
+    window, interval, measure = _domain(window, interval, network)
     eta = branching_ratio(params, betacov, b, m0)
     if eta >= 1.0:
         raise ValueError(
             f"supercritical cascade: branching ratio {eta:.6g} >= 1; "
             "expected offspring counts do not converge"
         )
+    a_t, a_s = _kernel_masses(params)
 
     rng = np.random.default_rng(seed)
     n_bg = rng.poisson(params.mu * measure * interval.length)
-    if network is None:
-        x = rng.uniform(window.x0, window.x1, n_bg)
-        y = rng.uniform(window.y0, window.y1, n_bg)
-    else:
-        arc = rng.uniform(0.0, network.total_length, n_bg)
-        seg, off = network.location_at(arc)
-        xy = network.segment_point(seg, off)
-        x, y = xy[:, 0], xy[:, 1]
-    t = rng.uniform(interval.t0, interval.t1, n_bg)
+    x, y, t, seg, off = _uniform_events(rng, n_bg, window, interval, network)
     m = gr_magnitudes(rng, n_bg, b, m0)
-
-    all_x = [x]
-    all_y = [y]
-    all_t = [t]
-    all_m = [m]
-    all_gen = [np.zeros(n_bg, dtype=np.int64)]
+    drawn = [(x, y, t, seg, off, m, np.zeros(n_bg, dtype=np.int64))]
     spawners = 0
     offspring_drawn = 0
 
@@ -318,7 +316,7 @@ def sim_etas(
         # parents past the end of the interval cannot place offspring inside
         live = t <= interval.t1
         x, y, t, m = x[live], y[live], t[live], m[live]
-        counts = rng.poisson(_productivity(params, betacov, m))
+        counts = rng.poisson(params.k0 * np.exp(betacov * m) * a_t * a_s)
         spawners += len(counts)
         total = int(counts.sum())
         offspring_drawn += total
@@ -337,31 +335,14 @@ def sim_etas(
             seg, off, snapped, _dist = snap_to_network(network, x, y)
             x, y = snapped[:, 0], snapped[:, 1]
         m = gr_magnitudes(rng, total, b, m0)
-        all_x.append(x)
-        all_y.append(y)
-        all_t.append(t)
-        all_m.append(m)
-        all_gen.append(np.full(total, generation, dtype=np.int64))
+        drawn.append((x, y, t, seg, off, m, np.full(total, generation, dtype=np.int64)))
 
-    x = np.concatenate(all_x)
-    y = np.concatenate(all_y)
-    t = np.concatenate(all_t)
-    m = np.concatenate(all_m)
-    gen = np.concatenate(all_gen)
-
+    x, y, t, seg, off, m, gen = (
+        None if c[0] is None else np.concatenate(c) for c in zip(*drawn)
+    )
     inside = window.contains(x, y) & interval.contains(t)
-    order = np.argsort(t[inside], kind="stable")
-    coords = np.column_stack([x[inside], y[inside], t[inside]])[order]
-    marks = {
-        "magnitude": MarkColumn("continuous", m[inside][order]),
-        "generation": MarkColumn("continuous", gen[inside][order].astype(float)),
-    }
-    if network is None:
-        pattern = PointPattern(coords, window, interval, marks)
-    else:
-        seg, off, snapped, _dist = snap_to_network(network, coords[:, 0], coords[:, 1])
-        coords[:, :2] = snapped
-        pattern = PointPattern(coords, window, interval, marks, network, seg, off)
+    marks = {"magnitude": m, "generation": gen}
+    pattern = _time_sorted(window, interval, x, y, t, network, seg, off, marks, inside)
 
     if return_info:
         info = {

@@ -29,6 +29,7 @@ from stpoint import (
     stppm,
 )
 from stpoint.covariates import CovariateGrid
+from stpoint.formula import build_design, parse_formula
 
 UNIT_W = SpatialWindow(0.0, 1.0, 0.0, 1.0)
 UNIT_T = TimeInterval(0.0, 1.0)
@@ -465,3 +466,41 @@ def test_local_fit_validation(poisson100):
     tiny = poisson100.subset(np.arange(3))
     with pytest.raises(ValueError, match="at least"):
         locstppm(tiny, "~ x + y + t")
+
+
+def test_local_fits_equal_refits_on_dense_kernel_rows():
+    # the oracle builds every event's kernel weights as one (n x quadrature)
+    # table, as locstppm once did; each local fit must equal a lone refit
+    # on its row of that table, bit for bit
+    spec = IntensitySpec.loglinear("~x", [3.0, 2.0])
+    pat = sim_poisson(spec, window=UNIT_W, interval=UNIT_T, seed=9)
+    h_space, h_time = 0.3, 0.25
+    lf = locstppm(pat, "~x", h_space=h_space, h_time=h_time, nd=(5, 5, 5), seed=3)
+    quad = make_quadrature(pat, nd=(5, 5, 5), seed=3)
+    X = build_design(parse_formula("~x"), quad.coords, quad.marks).matrix
+    d2s = (
+        (quad.coords[:, 0][None, :] - pat.x[:, None]) ** 2
+        + (quad.coords[:, 1][None, :] - pat.y[:, None]) ** 2
+    )
+    d2t = (quad.coords[:, 2][None, :] - pat.t[:, None]) ** 2
+    kernels = np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
+    y = quad.is_data / quad.weights
+    assert lf.converged.all()
+    for i in range(pat.n):
+        res = fit_glm(X, y, quad.weights * kernels[i], tol=1e-10)
+        assert lf.coef[i].tobytes() == res.coef.tobytes()
+
+
+def test_local_fit_memory_fence():
+    # event i's kernel row is built inside the loop: with a dense
+    # (n x quadrature) kernel table this fit peaked at about 150 MB
+    pat = sim_poisson(1000, window=UNIT_W, interval=UNIT_T, seed=19)
+    assert pat.n == 991
+    tracemalloc.start()
+    try:
+        lf = locstppm(pat, "~x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lf.converged.all()
+    assert peak < 40e6

@@ -15,6 +15,7 @@ import pytest
 
 from stpoint import (
     CovariateGrid,
+    LinearNetwork,
     MarkColumn,
     PointPattern,
     SpatialWindow,
@@ -24,6 +25,7 @@ from stpoint import (
     localdiag,
     localtest,
     second_order_global,
+    sim_poisson,
     stppm,
 )
 from stpoint.cli import main
@@ -406,6 +408,51 @@ def test_test_local_equivalence(tmp_path, capsys):
     assert info["significant_ids"] == lib.significant_ids.tolist()
     assert info["n_background"] == bg.n and info["n_alternative"] == alt.n
 
+
+
+def lattice_network(k):
+    """k x k vertex lattice on the unit square."""
+    verts = np.array([(i, j) for j in range(k) for i in range(k)]) / (k - 1.0)
+    segs = [(j * k + i, j * k + i + 1) for j in range(k) for i in range(k - 1)]
+    segs += [(j * k + i, (j + 1) * k + i) for j in range(k - 1) for i in range(k)]
+    return LinearNetwork(verts, np.array(segs))
+
+
+def test_test_local_on_a_network_takes_the_union_window(tmp_path, capsys):
+    # without --window each file's window is its own coordinate range; the
+    # two used to differ and the run failed with "patterns must share the
+    # same window and interval"
+    net = lattice_network(6)
+    write_network_json(net, tmp_path / "net.json")
+    pats = [sim_poisson(0.4, network=net, seed=s) for s in (1, 2)]
+    for name, pat in zip(("bg.csv", "alt.csv"), pats):
+        write_pattern_csv(pat, tmp_path / name)
+    read = [read_pattern_csv(tmp_path / name) for name in ("bg.csv", "alt.csv")]
+    assert read[0].window != read[1].window
+    union = (
+        min(p.window.x0 for p in read), max(p.window.x1 for p in read),
+        min(p.window.y0 for p in read), max(p.window.y1 for p in read),
+    )
+    common = ["test", "local", "--network", str(tmp_path / "net.json"),
+              "--background", str(tmp_path / "bg.csv"), "--alt", str(tmp_path / "alt.csv"),
+              "--k", "19", "--seed", "11"]
+    assert main(common + ["-o", str(tmp_path / "plain")]) == 0
+    window = ",".join(repr(v) for v in union)
+    assert main(common + ["--window", window, "-o", str(tmp_path / "union")]) == 0
+    capsys.readouterr()
+    for name in ("pvalues.csv", "test.json"):
+        assert read_bytes(tmp_path / "plain" / name) == read_bytes(tmp_path / "union" / name)
+
+
+def test_simulate_refuses_a_window_with_a_network(tmp_path, capsys, grid_network):
+    write_network_json(grid_network, tmp_path / "net.json")
+    for sim in (["poisson", "--lambda", "5"], ["etas", "--mu", "5", "--k0", "0.0001", "--c", "0.02", "--p", "1.5",
+                                                 "--d", "0.05", "--q", "2"]):
+        code = main(["simulate", *sim, "--domain", "network",
+                     "--network", str(tmp_path / "net.json"), "--window", "0,1,0,1",
+                     "--seed", "1", "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert "window cannot be given with a network" in capsys.readouterr().err
 
 def test_covariate_equivalence(tmp_path, capsys):
     rng = np.random.default_rng(9)

@@ -196,6 +196,16 @@ def test_nan_offset_rejected(cycle_network):
         network_distance(cycle_network, (0, np.nan), (2, 0.5))
 
 
+
+@pytest.mark.parametrize("off_b", [99.0, -5.0, np.nan])
+def test_network_distance_checks_both_offsets(off_b):
+    # only the first point's offset used to be checked: these returned
+    # -96.2, -4.2 and nan
+    with pytest.raises(ValueError, match="offset outside segment"):
+        network_distance(path_graph(), (0, 0.2), (1, off_b))
+    with pytest.raises(ValueError, match="offset outside segment"):
+        network_distance(path_graph(), (1, off_b), (0, 0.2))
+
 def unfiltered_counts(net, point, rs):
     """The count rule over every (sub)segment and every reachable vertex."""
     rs = np.asarray(rs, dtype=float)
