@@ -171,7 +171,7 @@ class PointPattern:
         if self.network is not None:
             if self.net_seg is None or self.net_off is None:
                 raise ValueError("network pattern needs net_seg and net_off")
-            seg = np.asarray(self.net_seg, dtype=np.int64)
+            seg = np.asarray(self.net_seg)  # _check_points refuses 0.9, then casts
             off = np.asarray(self.net_off, dtype=float)
             if len(seg) != len(c) or len(off) != len(c):
                 raise ValueError("network coordinates length mismatch")

@@ -5,10 +5,19 @@ regular 3-d grid by inverse-distance weighting (Shepard), then consumed
 everywhere else by nearest-node lookup.  Samples are canonicalised into
 lexicographic order before any summation so the interpolation is bit-exact
 under permutation of the input rows.
+
+The grid nodes are the tensor product xs x ys x ts, so the interpolation
+keeps one table of squared gaps per axis, (n_axis x J) each, and builds
+the squared node-sample distances one time slice at a time, in blocks of
+at most ``_CELLS`` node-sample cells.  The sums are the ones a per-node
+(dx, dy, dt) difference row gives, so the grid is bit-identical to
+evaluating every node against every sample at once; no table of all
+nodes is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +30,7 @@ from .core import SpatialWindow, TimeInterval
 __all__ = ["CovariateGrid", "interpolate_idw", "lookup_nearest"]
 
 SITE_TOL = 1e-12
-_CHUNK = 65536
+_CELLS = 2**20  # node-sample cells per block of interpolated nodes
 
 
 @dataclass(frozen=True)
@@ -124,19 +133,32 @@ def interpolate_idw(
 
     Node weights are dist**(-power) over all samples, summed in canonical
     (sorted) sample order.  A node within 1e-12 of a sample site takes that
-    sample's value exactly.  Grid size is ``grid`` = (nx, ny, nt) when
-    given, otherwise ceil(mult * J**(1/3)) nodes per axis for J samples.
-    The grid spans the window and interval exactly (sample ranges unless
-    supplied).
+    sample's value exactly (the first such sample in canonical order).
+    Grid size is ``grid`` = (nx, ny, nt) when given (integers >= 2),
+    otherwise ceil(mult * J**(1/3)) nodes per axis for J samples; ``mult``
+    must be positive and finite either way.  The grid spans the window and
+    interval exactly (sample ranges unless supplied).
+
+    The nodes are the tensor product xs x ys x ts, so squared distances
+    come from three per-axis tables of squared gaps as (dx² + dy²) + dt²,
+    the same float sum as over a per-node (dx, dy, dt) row: the result is
+    bit-identical to evaluating every node against every sample at once.
+    Each time slice is taken in blocks of whole y-rows (or of nodes within
+    a row when J is large) holding at most about ``_CELLS`` node-sample
+    cells, so time is O(nodes x J) and memory is bounded by that budget.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not (math.isfinite(power) and power > 0):
+        raise ValueError("power must be positive and finite")
+    if not (math.isfinite(mult) and mult > 0):
+        raise ValueError("mult must be positive and finite")
     sites, vals = _canonical_samples(samples)
     nsamp = len(sites)
     if grid is None:
         side = max(2, math.ceil(mult * nsamp ** (1.0 / 3.0)))
         nx = ny = nt = side
     else:
+        if not all(float(g).is_integer() for g in grid):
+            raise ValueError("grid entries must be integers")
         nx, ny, nt = (int(g) for g in grid)
         if min(nx, ny, nt) < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
@@ -150,37 +172,40 @@ def interpolate_idw(
     if interval is None:
         interval = TimeInterval(float(sites[:, 2].min()), float(sites[:, 2].max()))
 
-    xs = np.linspace(window.x0, window.x1, nx)
-    ys = np.linspace(window.y0, window.y1, ny)
-    ts = np.linspace(interval.t0, interval.t1, nt)
-    tt, yy, xx = np.meshgrid(ts, ys, xs, indexing="ij")
-    nodes = np.column_stack([xx.ravel(), yy.ravel(), tt.ravel()])
+    def gaps(lo, hi, n, col):
+        d = np.linspace(lo, hi, n)[:, None] - sites[None, :, col]
+        return d * d
 
-    out = np.empty(len(nodes))
-    for lo in range(0, len(nodes), _CHUNK):
-        chunk = nodes[lo : lo + _CHUNK]
-        diff = chunk[:, None, :] - sites[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
+    gx = gaps(window.x0, window.x1, nx, 0)
+    gy = gaps(window.y0, window.y1, ny, 1)
+    gt = gaps(interval.t0, interval.t1, nt, 2)
+    cols = min(nx, max(1, _CELLS // nsamp))
+    rows = max(1, _CELLS // (nx * nsamp)) if cols == nx else 1
+    out = np.empty((nt, ny, nx))
+    for k, j, i in itertools.product(
+        range(nt), range(0, ny, rows), range(0, nx, cols)
+    ):
+        # (rows, cols, J) block of squared distances, samples last
+        d2 = (gx[None, i : i + cols] + gy[j : j + rows, None]) + gt[k]
         hit = d2 < SITE_TOL * SITE_TOL
         # inf weights at exact hits are overwritten below; 0 * inf is fine
         with np.errstate(divide="ignore", invalid="ignore"):
             w = d2 ** (-power / 2.0)
             # plain axis sums keep a fixed reduction order (no BLAS)
-            num = np.sum(w * vals[None, :], axis=1)
-            den = np.sum(w, axis=1)
+            num = np.sum(w * vals, axis=-1)
+            den = np.sum(w, axis=-1)
             block = num / den
-        any_hit = hit.any(axis=1)
+        any_hit = hit.any(axis=-1)
         if any_hit.any():
             first = np.argmax(hit[any_hit], axis=1)
             block[any_hit] = vals[first]
-        out[lo : lo + _CHUNK] = block
+        out[k, j : j + rows, i : i + cols] = block
 
     dx = (window.x1 - window.x0) / (nx - 1)
     dy = (window.y1 - window.y0) / (ny - 1)
     dt = (interval.t1 - interval.t0) / (nt - 1)
     return CovariateGrid(
-        name, window.x0, dx, nx, window.y0, dy, ny, interval.t0, dt, nt,
-        out.reshape(nt, ny, nx),
+        name, window.x0, dx, nx, window.y0, dy, ny, interval.t0, dt, nt, out
     )
 
 

@@ -158,9 +158,7 @@ class NetworkPoint:
 def _as_seg_off(network: LinearNetwork, point) -> Tuple[int, float]:
     """(seg, off) of a NetworkPoint or pair, refused unless 0 <= seg < S."""
     seg, off = (point.seg, point.off) if isinstance(point, NetworkPoint) else point
-    seg = int(seg)
-    _segment_ids(network, seg)
-    return seg, float(off)
+    return int(_segment_ids(network, seg)), float(off)
 
 
 def snap_to_network(network: LinearNetwork, x, y):
@@ -197,11 +195,18 @@ def snap_to_network(network: LinearNetwork, x, y):
 
 
 def _segment_ids(network: LinearNetwork, seg) -> np.ndarray:
-    """Segment ids as int64, refused unless each lies in [0, S)."""
-    seg = np.asarray(seg, dtype=np.int64)
+    """Segment ids as int64, refused unless each is an integer in [0, S).
+
+    Integral floats such as 3.0 are accepted; 0.9 is refused, not truncated.
+    """
+    seg = np.asarray(seg)
+    if seg.dtype.kind not in "biu":
+        seg = seg.astype(float)
+        if not (seg == np.floor(seg)).all():  # NaN fails here, +-inf below
+            raise ValueError("segment ids must be integers")
     if ((seg < 0) | (seg >= len(network.segments))).any():
         raise ValueError(f"segment id outside [0, {len(network.segments)})")
-    return seg
+    return seg.astype(np.int64, copy=False)
 
 
 def _check_points(network: LinearNetwork, seg, off) -> Tuple[np.ndarray, np.ndarray]:
@@ -279,7 +284,7 @@ def pairwise_network_distances(network: LinearNetwork, seg, off) -> np.ndarray:
 
     Shares the pair-geometry path of the network second-order summaries.
     """
-    seg, off = np.asarray(seg, dtype=np.int64), np.asarray(off, dtype=float)
+    seg, off = _segment_ids(network, seg), np.asarray(off, dtype=float)
     out = np.empty((len(seg), len(seg)))
     for rows in _origin_blocks(network, len(seg), len(seg)):
         out[rows] = _pair_geometry(network, (seg[rows], off[rows]), (seg, off))[0]

@@ -1,5 +1,7 @@
 """Inverse-distance interpolation and grid lookup."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,40 @@ def test_idw_input_validation():
         interpolate_idw(random_samples(4), power=0.0)
     with pytest.raises(ValueError):
         interpolate_idw(random_samples(4), grid=(1, 3, 3))
+    # unchecked, mult <= 0 gives a 2-node grid and inf or nan a bare math.ceil error
+    for mult in (-3.0, 0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="mult"):
+            interpolate_idw(random_samples(4), mult=mult)
+    for power in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="power"):
+            interpolate_idw(random_samples(4), grid=(3, 3, 3), power=power)
+    # unchecked, int() truncates (2.7, 3.9, 3) to (2, 3, 3)
+    for grid in ((2.7, 3.9, 3), (3, 3, 3.5), (3, np.nan, 3), (3, np.inf, 3)):
+        with pytest.raises(ValueError, match="grid entries must be integers"):
+            interpolate_idw(random_samples(4), grid=grid)
+    g = interpolate_idw(random_samples(4), grid=(3.0, np.int64(4), 5))
+    assert (g.nx, g.ny, g.nt) == (3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "nsamp, grid, bound",
+    [
+        (64, (56, 56, 56), 15e6),  # the cli_covariate size: measured 8.3 MB
+        (2000, (60, 60, 3), 60e6),  # rows cut by the cell budget: 33.9 MB
+    ],
+)
+def test_idw_memory_fence(nsamp, grid, bound):
+    # nodes are taken a time slice at a time in blocks of at most _CELLS
+    # node-sample cells; a (nodes x samples x 3) difference block per
+    # 65,536 nodes peaks at 318 MB and 1.2 GB on these cases
+    samples = random_samples(nsamp, seed=7)
+    tracemalloc.start()
+    try:
+        interpolate_idw(samples, grid=grid, window=UNIT_W, interval=UNIT_T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def small_grid():

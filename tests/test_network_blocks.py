@@ -293,6 +293,48 @@ def test_segment_ids_outside_range_raise_value_error(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.5, -0.5, np.nan])
+def test_non_integer_segment_ids_raise_value_error(bad):
+    # truncated, 0.9 would read segment 0: network_distance(net, (0.9, 0.2),
+    # (1, 0.5)) would be 1.3, the distance from segment 0
+    net = path_graph()
+    calls = [
+        lambda: point_vertex_distances(net, (bad, 0.2)),
+        lambda: point_vertex_distances(net, NetworkPoint(bad, 0.2)),
+        lambda: network_distance(net, (bad, 0.2), (1, 0.5)),
+        lambda: network_distance(net, (1, 0.5), (bad, 0.2)),
+        lambda: pairwise_network_distances(net, [bad, 1], [0.2, 0.5]),
+        lambda: equidistant_count(net, (bad, 0.2), 0.3),
+        lambda: equidistant_counts(net, (bad, 0.2), [0.3]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="segment ids must be integers"):
+            call()
+
+
+def test_integral_float_segment_ids_are_accepted():
+    net = path_graph()
+    assert network_distance(net, (1.0, 0.2), (1, 0.5)) == pytest.approx(0.3)
+    got = pairwise_network_distances(net, np.array([0.0, 1.0]), [0.9, 0.5])
+    assert np.array_equal(got, pairwise_network_distances(net, [0, 1], [0.9, 0.5]))
+    assert np.array_equal(
+        point_vertex_distances(net, NetworkPoint(1.0, 0.2)),
+        point_vertex_distances(net, (1, 0.2)),
+    )
+
+
+def test_pattern_refuses_non_integer_segment_ids():
+    # truncated, net_seg [0.9, 1.5] would read as [0, 1]
+    net = path_graph()
+    xy = net.segment_point(np.array([0, 1]), np.array([0.2, 0.5]))
+    coords = np.column_stack([xy, np.full(2, 0.5)])
+    w = SpatialWindow(-1.0, 2.0, -1.0, 2.0)
+    with pytest.raises(ValueError, match="segment ids must be integers"):
+        PointPattern(coords, w, UNIT_T, {}, net, np.array([0.9, 1.5]), np.array([0.2, 0.5]))
+    pat = PointPattern(coords, w, UNIT_T, {}, net, np.array([0.0, 1.0]), np.array([0.2, 0.5]))
+    assert pat.net_seg.dtype == np.int64 and pat.net_seg.tolist() == [0, 1]
+
+
 def network_pattern(net, seg, off):
     seg, off = np.asarray(seg), np.asarray(off, dtype=float)
     xy = net.segment_point(np.clip(seg, 0, len(net.segments) - 1), np.nan_to_num(off))
