@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import MarkColumn, PointPattern
 from .formula import Formula, build_design, parse_formula
+from .network import _origin_blocks
 
 __all__ = [
     "FitError",
@@ -84,16 +85,13 @@ class Quadrature:
         return int((~self.is_data).sum())
 
 
-# query rows per block times events: about 2^20 squared distances at a time
-_NEAREST_ENTRIES = 1 << 20
-
-
 def _impute_marks(pattern: PointPattern, query: np.ndarray) -> dict:
     """Marks for dummy points: copy from the nearest data event.
 
     Distances are measured in coordinates scaled by the domain extents;
     ties break toward the lower event index.  The nearest event is found
-    over blocks of query rows, so memory stays near 2^20 distances.
+    over the query row blocks of ``network._origin_blocks``, so no (query x
+    events) table is built whole.
     """
     if not pattern.marks:
         return {}
@@ -102,10 +100,8 @@ def _impute_marks(pattern: PointPattern, query: np.ndarray) -> dict:
     pts = pattern.coords / scale
     q = query / scale
     nearest = np.empty(len(q), dtype=np.intp)
-    step = max(1, _NEAREST_ENTRIES // len(pts))
-    for i in range(0, len(q), step):
-        d2 = ((q[i : i + step, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        nearest[i : i + step] = np.argmin(d2, axis=1)
+    for rows in _origin_blocks(None, len(q), len(pts)):
+        nearest[rows] = np.argmin(((q[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2), axis=1)
     return {
         name: MarkColumn(col.kind, col.values[nearest], col.levels)
         for name, col in pattern.marks.items()

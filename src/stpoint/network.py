@@ -121,8 +121,8 @@ class LinearNetwork:
         return adj
 
     def segment_point(self, seg, off) -> np.ndarray:
-        """Planar coordinates of arc positions (seg, off)."""
-        seg = np.asarray(seg, dtype=np.int64)
+        """Planar coordinates of arc positions (seg, off), seg ids in [0, S)."""
+        seg = _segment_ids(self, seg)
         off = np.asarray(off, dtype=float)
         a = self.vertices[self.segments[seg, 0]]
         b = self.vertices[self.segments[seg, 1]]
@@ -131,7 +131,7 @@ class LinearNetwork:
 
     def arc_position(self, seg, off) -> np.ndarray:
         """Global arc-length coordinate in [0, total_length)."""
-        return self.cum_start[np.asarray(seg, dtype=np.int64)] + np.asarray(off, float)
+        return self.cum_start[_segment_ids(self, seg)] + np.asarray(off, float)
 
     def location_at(self, arc) -> Tuple[np.ndarray, np.ndarray]:
         """Inverse of arc_position: global arc coordinate -> (seg, off)."""
@@ -295,14 +295,15 @@ def pairwise_network_distances(network: LinearNetwork, seg, off) -> np.ndarray:
 _CELLS = 2**17  # table cells per block of origins
 
 
-def _origin_blocks(network: LinearNetwork, n_origins: int, n_partners: int) -> list:
+def _origin_blocks(network, n_origins: int, n_partners: int) -> list:
     """Slices of consecutive origins, each with about _CELLS cells per table.
 
     A block's tables have one row per origin and one column per partner,
-    vertex or (sub)segment.  There is always at least one, maybe empty, slice.
+    vertex or (sub)segment; per partner only when network is None.  There
+    is always at least one, maybe empty, slice.
     """
-    width = max(n_partners, len(network.vertices), len(network.segments) + 1)
-    step = max(1, _CELLS // width)
+    net = () if network is None else (len(network.vertices), len(network.segments) + 1)
+    step = max(1, _CELLS // max(n_partners, 1, *net))
     return [slice(lo, lo + step) for lo in range(0, max(n_origins, 1), step)]
 
 

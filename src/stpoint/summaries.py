@@ -16,11 +16,12 @@ Pair (i, j) contributions, ordered pairs i != j:
 Pairs beyond the lag reach are never built.  The reach is the largest
 lag any grid node can see: r_max and h_max for K, r_max + b_r and
 h_max + b_h for g.  ``_pairs`` lists the pairs within it as flat row-major
-arrays, taking origins in blocks (planar candidates come from a
-time-sorted sweep, network ones from the block pair tables of
-``network._pair_geometry``), equidistant counts are evaluated for them
-only, and every surface is one sequential ``bincount`` of their weights,
-keyed by lag node or by (origin, lag node).  Network pairs with no weight are
+arrays, one row block of ``network._origin_blocks`` at a time (planar
+partners from the block's time slice, network ones from the pair tables of
+``network._pair_geometry``, whose equidistant counts are evaluated for
+them only).  ``_lag_sums`` folds their weights into every surface in steps
+of the same cell budget, with the sums of one sequential ``bincount`` keyed
+by lag node or by (origin, lag node).  Network pairs with no weight are
 skipped and counted in ``skipped_pairs``: unreachable pairs (different
 connected components), pairs whose temporal count is zero, and pairs
 within the lag reach whose equidistant count is zero.
@@ -90,14 +91,14 @@ def resolve_config(pattern: PointPattern, config: Optional[SummaryConfig]) -> Su
     hs = np.asarray(hs, dtype=float)
     if (np.diff(rs) <= 0).any() or (np.diff(hs) <= 0).any():
         raise ValueError("lag grids must be strictly increasing")
-    if rs[0] <= 0 or hs[0] <= 0:
-        raise ValueError("lags must be positive")
+    if not (rs[0] > 0 and hs[0] > 0 and np.isfinite(rs).all() and np.isfinite(hs).all()):
+        raise ValueError("lags must be positive and finite")
     if pattern.network is None and rs[-1] > min(pattern.window.width, pattern.window.height) / 2.0:
         raise ValueError("largest spatial lag exceeds half the shorter window side")
     br = cfg.br if cfg.br is not None else 0.1 * float(rs[-1])
     bh = cfg.bh if cfg.bh is not None else 0.1 * float(hs[-1])
-    if br <= 0 or bh <= 0:
-        raise ValueError("bandwidths must be positive")
+    if not (0 < br < np.inf and 0 < bh < np.inf):  # NaN fails too
+        raise ValueError("bandwidths must be positive and finite")
     return replace(cfg, rs=rs, hs=hs, br=br, bh=bh)
 
 
@@ -166,34 +167,26 @@ def _canonical_order(pattern, lam=None) -> np.ndarray:
     return np.lexsort((*keys, pattern.y, pattern.x, pattern.t))
 
 
-_BLOCK = 128  # time-sorted origins per block of the planar sweep
+def _planar_block(X, Z, rows, zo, rmax, hmax, correction):
+    """Planar pairs (i, j, d, dt, corr), i in rows, with d <= rmax, dt <= hmax.
 
-
-def _planar_lags(X, Z, i, j):
-    """|dx|, |dy|, |dt| of the pairs (x_i, z_j), broadcast over i and j."""
-    return np.abs(X.x[i] - Z.x[j]), np.abs(X.y[i] - Z.y[j]), np.abs(X.t[i] - Z.t[j])
-
-
-def _planar_keys(X, Z, rmax, hmax):
-    """Sorted keys i * Z.n + j of the planar pairs with d <= rmax, dt <= hmax.
-
-    Blocks of time-sorted origins meet the slice of time-sorted partners
-    within hmax (plus a rounding margin) of the block's time span.
+    The partners tried are the slice of time-sorted zo within hmax (plus a
+    rounding margin) of the block's times, in row order, so the pairs come
+    out row-major; corr is the translation proportion, or 1.
     """
-    zo = np.argsort(Z.t, kind="stable")
-    tz = Z.t[zo]
-    xo = np.argsort(X.t, kind="stable")
-    pad = hmax + 4.0 * np.finfo(float).eps * (abs(tz).max() + abs(X.t).max() + hmax)
-    keys = [np.empty(0, dtype=np.int64)]
-    for lo in range(0, X.n, _BLOCK):
-        i = xo[lo : lo + _BLOCK]
-        a = np.searchsorted(tz, X.t[i[0]] - pad, side="left")
-        b = np.searchsorted(tz, X.t[i[-1]] + pad, side="right")
-        j = zo[a:b]
-        dx, dy, dt = _planar_lags(X, Z, i[:, None], j[None, :])
-        r, c = np.nonzero((dt <= hmax) & (np.hypot(dx, dy) <= rmax))
-        keys.append(i[r] * Z.n + j[c])
-    return np.sort(np.concatenate(keys))
+    t, tz = X.t[rows], Z.t[zo]
+    pad = hmax + 4.0 * np.finfo(float).eps * (abs(tz).max() + abs(t).max() + hmax)
+    lo = np.searchsorted(tz, t.min() - pad, side="left")
+    j = np.sort(zo[lo : np.searchsorted(tz, t.max() + pad, side="right")])
+    dx, dy, dt = (np.abs(a[rows, None] - b[j]) for a, b in ((X.x, Z.x), (X.y, Z.y), (X.t, Z.t)))
+    d = np.hypot(dx, dy)
+    r, c = np.nonzero((dt <= hmax) & (d <= rmax))
+    dx, dy, dt = dx[r, c], dy[r, c], dt[r, c]
+    corr = np.ones(len(r))
+    if correction == "translation":
+        corr = (X.window.width - dx) * (X.window.height - dy) * (X.interval.length - dt)
+        corr = corr / (X.window.area * X.interval.length)
+    return r + rows.start, j[c], d[r, c], dt, corr
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
@@ -206,41 +199,32 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
     proportion (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
     1/(lam_i lam_j) given lam, else 1.  Dead pairs, whose correction
     vanishes, are left out; ``skipped`` counts the dead network pairs.
+    Origins go in the row blocks of ``network._origin_blocks``, and the
+    columns of the blocks' pairs are joined one at a time.
     """
-    rmax, hmax, skipped = cfg.rs[-1], cfg.hs[-1], 0
+    rmax, hmax, skipped, blocks = cfg.rs[-1], cfg.hs[-1], 0, []
     if cfg.statistic == "g":  # the kernels reach one bandwidth further
         rmax, hmax = rmax + cfg.br, hmax + cfg.bh
-    if X.network is None:
-        i, j = np.divmod(_planar_keys(X, Z, rmax, hmax), Z.n)
-        dx, dy, dt = _planar_lags(X, Z, i, j)
-        d = np.hypot(dx, dy)
-        if cfg.correction == "translation":
-            corr = (X.window.width - dx) * (X.window.height - dy)
-            corr = corr * (X.interval.length - dt)
-            corr = corr / (X.window.area * X.interval.length)
+    zo = np.argsort(Z.t, kind="stable") if X.network is None else None
+    for rows in _origin_blocks(X.network, X.n, Z.n):
+        if X.network is None:
+            i, j, d, dt, corr = _planar_block(X, Z, rows, zo, rmax, hmax, cfg.correction)
         else:
-            corr = np.ones_like(d)
-    else:
-        net, blocks = X.network, []
-        for rows in _origin_blocks(net, X.n, Z.n):
-            dist, m_l = _pair_geometry(
-                net, (X.net_seg[rows], X.net_off[rows]), (Z.net_seg, Z.net_off), rmax
-            )
+            origins = (X.net_seg[rows], X.net_off[rows])
+            dist, m_l = _pair_geometry(X.network, origins, (Z.net_seg, Z.net_off), rmax)
             dt = np.abs(X.t[rows, None] - Z.t[None, :])
             m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
             dead = (m_l == 0) | (m_t == 0)
             skipped += int(dead.sum())
-            r, c = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
-            corr = (m_l[r, c] * m_t[r, c]).astype(float)
-            blocks.append((r + rows.start, c, dist[r, c], dt[r, c], corr))
-        i, j, d, dt, corr = (np.concatenate(a) for a in zip(*blocks))
-    # planar pairs spanning the full window extent carry zero correction
-    keep = corr > 0
-    if Z is X:
-        keep &= i != j
-    i, j, d, dt, corr = i[keep], j[keep], d[keep], dt[keep], corr[keep]
-    num = 1.0 if lam is None else 1.0 / (lam[i] * lam[j])
-    return i, j, d, dt, num / corr, skipped
+            r, j = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
+            i, d, dt, corr = r + rows.start, dist[r, j], dt[r, j], m_l[r, j] * m_t[r, j]
+        # planar pairs spanning the full window extent carry zero correction
+        keep = (corr > 0) & ((i != j) | (Z is not X))
+        i, j = i[keep], j[keep]
+        num = 1.0 if lam is None else 1.0 / (lam[i] * lam[j])
+        blocks.append([i, j, d[keep], dt[keep], num / corr[keep]])
+    # one column at a time: pop drops each column's pieces once it is joined
+    return (*[np.concatenate([b.pop(0) for b in blocks]) for _ in range(5)], skipped)
 
 
 def _global_prefactor(pattern, lam, cfg) -> float:
@@ -273,31 +257,50 @@ def _kernel_band(lags, grid, bw):
     return nodes, np.where(used & (np.abs(u) <= 1.0), 0.75 * (1.0 - u * u) / bw, 0.0)
 
 
+def _band_nodes(grid, bw):
+    """The most grid nodes that one kernel band, 2 bw wide, can cover."""
+    return int((np.searchsorted(grid, grid + 2.0 * bw, side="right") - np.arange(len(grid))).max())
+
+
 def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
-    """Surface estimates from pair weights by one sequential bincount.
+    """Surface estimates from pair weights, summed as one sequential bincount.
 
     ``rows`` assigns each pair to an output row (all to row 0 by default);
     at each lag node the pairs add up in the order given.  K bins a pair at
     its side="left" node and cumulates over both lag axes; g spreads it over
     the nodes by the Epanechnikov product kernel, over 4 pi r if planar.
+    The pairs are folded in the steps ``network._origin_blocks`` cuts for
+    their (pair, node) cells, each later step's bincount starting the nodes
+    it touches from their running totals: the one-pass sums, bit for bit.
     Scaled by pref; shape (nrows, len(rs), len(hs)).
     """
     nr, nh = len(cfg.rs), len(cfg.hs)
-    if cfg.statistic == "K":
-        a = np.searchsorted(cfg.rs, d, side="left")
-        b = np.searchsorted(cfg.hs, dt, side="left")
-        ok = (a < nr) & (b < nh)
-        key, val = ((rows * nr + a) * nh + b)[ok], w[ok]
-    else:
-        a, ks = _kernel_band(d, cfg.rs, cfg.br)
-        b, kt = _kernel_band(dt, cfg.hs, cfg.bh)
-        key = (np.reshape(rows, (-1, 1, 1)) * nr + a[:, :, None]) * nh + b[:, None, :]
-        key, val = key.ravel(), (ks[:, :, None] * (w[:, None] * kt)[:, None, :]).ravel()
-        if pattern.network is None:
-            pref = (pref / (4.0 * math.pi * cfg.rs))[:, None]
-    acc = np.bincount(key, weights=val, minlength=nrows * nr * nh).reshape(nrows, nr, nh)
+    rows, cells = np.broadcast_to(rows, np.shape(d)), 1  # cells: lag nodes one pair adds to
+    if cfg.statistic == "g":
+        cells = _band_nodes(cfg.rs, cfg.br) * _band_nodes(cfg.hs, cfg.bh)
+    acc = np.zeros(nrows * nr * nh)
+    for s in _origin_blocks(None, len(d), cells):
+        if cfg.statistic == "K":
+            a = np.searchsorted(cfg.rs, d[s], side="left")
+            b = np.searchsorted(cfg.hs, dt[s], side="left")
+            ok = (a < nr) & (b < nh)
+            key, val = ((rows[s] * nr + a) * nh + b)[ok], w[s][ok]
+        else:
+            a, ks = _kernel_band(d[s], cfg.rs, cfg.br)
+            b, kt = _kernel_band(dt[s], cfg.hs, cfg.bh)
+            key = (rows[s, None, None] * nr + a[:, :, None]) * nh + b[:, None, :]
+            key, val = key.ravel(), (ks[:, :, None] * (w[s, None] * kt)[:, None, :]).ravel()
+        if s.start == 0:  # bincount gives int64 on no keys: acc stays float
+            acc[:] = np.bincount(key, weights=val, minlength=acc.size)
+        elif key.size:
+            k0, k1 = key.min(), key.max() + 1
+            keys = np.concatenate([np.arange(k1 - k0), key - k0])
+            acc[k0:k1] = np.bincount(keys, weights=np.concatenate([acc[k0:k1], val]))
+    acc = acc.reshape(nrows, nr, nh)
     if cfg.statistic == "K":
         acc = np.cumsum(np.cumsum(acc, axis=1), axis=2)
+    elif pattern.network is None:
+        pref = (pref / (4.0 * math.pi * cfg.rs))[:, None]
     return acc * pref
 
 

@@ -1,7 +1,8 @@
 """Dense all-pairs reference for the planar pair engine (test-only).
 
-The package lists only the pairs some lag can see, found by a time-sorted
-sweep, and sums each surface with one sequential ``bincount``.  This
+The package lists only the pairs some lag can see, found one block of
+origins at a time, and sums each surface with the sums of one sequential
+``bincount``.  This
 module keeps the plain rules they must reproduce:
 
 * ``dense_pairs`` takes and returns what ``stpoint.summaries._pairs`` does,

@@ -334,6 +334,16 @@ def test_summary_equivalence(tmp_path, capsys):
     assert np.array_equal(back.theo, lib.theo)
 
 
+def test_summary_refuses_non_finite_lags(tmp_path, capsys):
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    for flags, message in ((["--rs", "0.1,nan"], "lags must be positive and finite"),
+                           (["--hs", "inf"], "lags must be positive and finite"),
+                           (["--br", "nan"], "bandwidths must be positive and finite")):
+        code = main(["summary", "--pattern", str(pat_csv), *flags, "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+
 def test_diagnose_global_equivalence(tmp_path, capsys):
     pat_csv = simulate_pattern(tmp_path, capsys)
     pattern = read_pattern_csv(pat_csv)

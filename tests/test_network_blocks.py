@@ -287,6 +287,9 @@ def test_segment_ids_outside_range_raise_value_error(bad):
         lambda: equidistant_count(net, (bad, 0.5), 0.3),
         lambda: equidistant_counts(net, (bad, 0.5), [0.3]),
         lambda: equidistant_counts(net, (bad, 0.5), [0.3], dv=np.zeros(3)),
+        lambda: net.segment_point([bad], [0.5]),
+        lambda: net.arc_position([bad], [0.5]),
+        lambda: NetworkPoint(bad, 0.5).coords(net),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="segment id outside"):
@@ -306,6 +309,9 @@ def test_non_integer_segment_ids_raise_value_error(bad):
         lambda: pairwise_network_distances(net, [bad, 1], [0.2, 0.5]),
         lambda: equidistant_count(net, (bad, 0.2), 0.3),
         lambda: equidistant_counts(net, (bad, 0.2), [0.3]),
+        lambda: net.segment_point([bad], [0.2]),
+        lambda: net.arc_position([bad], [0.2]),
+        lambda: NetworkPoint(bad, 0.2).coords(net),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="segment ids must be integers"):

@@ -10,7 +10,8 @@ package must match them bit for bit:
 
 * ``make_quadrature`` on windows: coords, weights, is_data, data_index,
   marks, nd and the warning, for every ``nd`` form, with and without
-  marks, with ``by_type``;
+  marks, with ``by_type``, and with the nearest-event query blocks set by
+  the real or a shrunk ``network._CELLS``;
 * ``sep_fit`` on windows and networks: coefficients, norm and fitted;
 * ``stppm`` with the reference quadrature swapped in (glm, lsr, marked):
   coef and fitted, and ``predict`` against the reference design builder.
@@ -41,7 +42,7 @@ from stpoint import (
     sep_fit,
     stppm,
 )
-from stpoint import fit
+from stpoint import fit, network
 
 import quadrature_reference as ref
 
@@ -168,11 +169,16 @@ def reference_stppm(pattern, **kw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, n=st.integers(1, 60), marks=MARKS, nd=nd_forms(3), typed=st.booleans())
-def test_planar_quadrature_matches_reference(seed, n, marks, nd, typed):
+@given(
+    seed=SEEDS, n=st.integers(1, 60), marks=MARKS, nd=nd_forms(3), typed=st.booleans(),
+    cells=st.sampled_from([1, 300, network._CELLS]),  # nearest-event query blocks
+)
+def test_planar_quadrature_matches_reference(seed, n, marks, nd, typed, cells):
     pat = planar_pattern(seed, n, marks)
     by_type = "type" if typed and "type" in pat.marks else None
-    got, got_warn = quadrature(make_quadrature, pat, nd, seed, by_type)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(network, "_CELLS", cells)
+        got, got_warn = quadrature(make_quadrature, pat, nd, seed, by_type)
     want, want_warn = quadrature(ref.make_quadrature, pat, nd, seed, by_type)
     assert got_warn == want_warn
     for name in ("coords", "weights", "is_data", "data_index"):

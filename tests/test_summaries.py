@@ -68,6 +68,16 @@ def test_config_validation(poisson100):
         resolve_config(poisson100, SummaryConfig(rs=np.array([0.3, 0.7])))
     with pytest.raises(ValueError, match="bandwidths"):
         resolve_config(poisson100, SummaryConfig(br=-0.1))
+    # non-finite lags and bandwidths used to give an all-zero surface
+    nan = float("nan")
+    for grids in ({"rs": np.array([0.1, nan])}, {"hs": np.array([0.1, nan])}, {"hs": [nan]}):
+        with pytest.raises(ValueError, match="lags must be positive and finite"):
+            resolve_config(poisson100, SummaryConfig(**grids))
+    for bw in ({"br": nan}, {"bh": math.inf}):
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+            resolve_config(poisson100, SummaryConfig(**bw))
+    with pytest.raises(ValueError, match="lags must be positive and finite"):
+        second_order_global(poisson100, 300.0, SummaryConfig(rs=np.array([0.1, nan])))
 
 
 def test_lam_validation(poisson100):
@@ -350,6 +360,23 @@ def test_pcf_memory_fence():
     finally:
         tracemalloc.stop()
     assert peak < 300 * 2**20
+
+
+@pytest.mark.parametrize("statistic, bound_mb", [("K", 80), ("g", 100)])
+def test_planar_pair_block_memory_fence(statistic, bound_mb):
+    # pairs are found per origin block and folded into the surface in
+    # bounded steps, so the peak is about the in-range pair columns: 51 MB
+    # for K and 66 MB for g here, where the whole-table sweep and the
+    # all-pairs kernel band peaked at 104 and 240 MB
+    pat = sim_poisson(IntensitySpec.constant(4000.0), window=UNIT_W, interval=UNIT_T, seed=0)
+    assert 3800 < pat.n < 4200
+    tracemalloc.start()
+    try:
+        second_order_global(pat, float(pat.n), SummaryConfig(statistic=statistic))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 def test_two_points_symmetric_locals():
