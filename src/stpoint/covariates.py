@@ -9,28 +9,27 @@ under permutation of the input rows.
 The grid nodes are the tensor product xs x ys x ts, so the interpolation
 keeps one table of squared gaps per axis, (n_axis x J) each, and builds
 the squared node-sample distances one time slice at a time, in blocks of
-at most ``_CELLS`` node-sample cells.  The sums are the ones a per-node
-(dx, dy, dt) difference row gives, so the grid is bit-identical to
-evaluating every node against every sample at once; no table of all
-nodes is built.
+consecutive nodes cut by ``network._origin_blocks``, the package's one
+cell budget.  The sums are the ones a per-node (dx, dy, dt) difference
+row gives, so the grid is bit-identical to evaluating every node against
+every sample at once; no table of all nodes is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import SpatialWindow, TimeInterval
+from .network import _integers, _origin_blocks
 
 __all__ = ["CovariateGrid", "interpolate_idw", "lookup_nearest"]
 
 SITE_TOL = 1e-12
-_CELLS = 2**20  # node-sample cells per block of interpolated nodes
 
 
 @dataclass(frozen=True)
@@ -97,27 +96,20 @@ def _canonical_samples(samples) -> Tuple[np.ndarray, np.ndarray]:
     sites = arr[:, :3]
     new_group = np.ones(len(arr), dtype=bool)
     new_group[1:] = (sites[1:] != sites[:-1]).any(axis=1)
+    if new_group.all():
+        return sites, arr[:, 3]
+    # sums per site in sorted order; values ascend in a site, so first != last is a conflict
     gid = np.cumsum(new_group) - 1
-    ngroups = gid[-1] + 1
-    if ngroups != len(arr):
-        counts = np.bincount(gid)
-        sums = np.zeros(ngroups)
-        np.add.at(sums, gid, arr[:, 3])
-        means = sums / counts
-        spread = np.full(ngroups, -np.inf)
-        np.maximum.at(spread, gid, arr[:, 3])
-        lo = np.full(ngroups, np.inf)
-        np.minimum.at(lo, gid, arr[:, 3])
-        conflicting = int(np.sum((counts > 1) & (spread > lo)))
-        if conflicting:
-            warnings.warn(
-                f"{conflicting} duplicate sample site(s) with conflicting "
-                "values; using the mean",
-                stacklevel=3,
-            )
-        first = np.flatnonzero(new_group)
-        return sites[first], means
-    return sites, arr[:, 3]
+    means = np.bincount(gid, weights=arr[:, 3]) / np.bincount(gid)
+    first = np.flatnonzero(new_group)
+    last = np.append(first[1:], len(arr)) - 1
+    conflicting = int(np.sum(arr[first, 3] != arr[last, 3]))
+    if conflicting:
+        warnings.warn(
+            f"{conflicting} duplicate sample site(s) with conflicting values; using the mean",
+            stacklevel=3,
+        )
+    return sites[first], means
 
 
 def interpolate_idw(
@@ -143,9 +135,10 @@ def interpolate_idw(
     come from three per-axis tables of squared gaps as (dx² + dy²) + dt²,
     the same float sum as over a per-node (dx, dy, dt) row: the result is
     bit-identical to evaluating every node against every sample at once.
-    Each time slice is taken in blocks of whole y-rows (or of nodes within
-    a row when J is large) holding at most about ``_CELLS`` node-sample
-    cells, so time is O(nodes x J) and memory is bounded by that budget.
+    Each time slice is taken in blocks of consecutive x-fastest nodes from
+    ``network._origin_blocks(None, ny * nx, J)``, the cell budget shared
+    with the pair tables, so time is O(nodes x J) and memory is bounded by
+    that budget.
     """
     if not (math.isfinite(power) and power > 0):
         raise ValueError("power must be positive and finite")
@@ -157,9 +150,10 @@ def interpolate_idw(
         side = max(2, math.ceil(mult * nsamp ** (1.0 / 3.0)))
         nx = ny = nt = side
     else:
-        if not all(float(g).is_integer() for g in grid):
-            raise ValueError("grid entries must be integers")
-        nx, ny, nt = (int(g) for g in grid)
+        grid = _integers(grid, "grid entries must be integers")
+        if grid.shape != (3,):
+            raise ValueError("grid must be three integers (nx, ny, nt)")
+        nx, ny, nt = grid.tolist()
         if min(nx, ny, nt) < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
     if window is None:
@@ -179,33 +173,29 @@ def interpolate_idw(
     gx = gaps(window.x0, window.x1, nx, 0)
     gy = gaps(window.y0, window.y1, ny, 1)
     gt = gaps(interval.t0, interval.t1, nt, 2)
-    cols = min(nx, max(1, _CELLS // nsamp))
-    rows = max(1, _CELLS // (nx * nsamp)) if cols == nx else 1
-    out = np.empty((nt, ny, nx))
-    for k, j, i in itertools.product(
-        range(nt), range(0, ny, rows), range(0, nx, cols)
-    ):
-        # (rows, cols, J) block of squared distances, samples last
-        d2 = (gx[None, i : i + cols] + gy[j : j + rows, None]) + gt[k]
-        hit = d2 < SITE_TOL * SITE_TOL
-        # inf weights at exact hits are overwritten below; 0 * inf is fine
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = d2 ** (-power / 2.0)
-            # plain axis sums keep a fixed reduction order (no BLAS)
-            num = np.sum(w * vals, axis=-1)
-            den = np.sum(w, axis=-1)
-            block = num / den
-        any_hit = hit.any(axis=-1)
-        if any_hit.any():
-            first = np.argmax(hit[any_hit], axis=1)
-            block[any_hit] = vals[first]
-        out[k, j : j + rows, i : i + cols] = block
+    jj, ii = divmod(np.arange(ny * nx), nx)
+    out = np.empty((nt, ny * nx))
+    for k in range(nt):
+        for b in _origin_blocks(None, ny * nx, nsamp):
+            # (nodes, J) block of squared distances, samples last, summed in place
+            d2 = gx[ii[b]]
+            d2 += gy[jj[b]]
+            d2 += gt[k]
+            hit = d2 < SITE_TOL * SITE_TOL
+            # inf weights at exact hits are overwritten below; 0 * inf is fine
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = d2 ** (-power / 2.0)
+                # plain axis sums keep a fixed reduction order (no BLAS)
+                block = np.sum(w * vals, axis=1) / np.sum(w, axis=1)
+            any_hit = hit.any(axis=1)
+            block[any_hit] = vals[np.argmax(hit[any_hit], axis=1)]
+            out[k, b] = block
 
     dx = (window.x1 - window.x0) / (nx - 1)
     dy = (window.y1 - window.y0) / (ny - 1)
     dt = (interval.t1 - interval.t0) / (nt - 1)
     return CovariateGrid(
-        name, window.x0, dx, nx, window.y0, dy, ny, interval.t0, dt, nt, out
+        name, window.x0, dx, nx, window.y0, dy, ny, interval.t0, dt, nt, out.reshape(nt, ny, nx)
     )
 
 

@@ -21,6 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import PointPattern
+from .network import _integers
 from .summaries import (
     ListaSet,
     SummaryConfig,
@@ -107,6 +108,7 @@ def localtest(
         X.network is not None and X.network is not Z.network
     ):
         raise ValueError("patterns must live on the same network")
+    k = int(_integers(k, "k must be an integer"))
     if k < 1:
         raise ValueError("k must be at least 1")
     if not 0 < alpha < 1:
@@ -250,7 +252,7 @@ def infl(result: LocalDiagResult, ids=None) -> ListaSet:
     """Local surfaces of the flagged (or requested) events."""
     if ids is None:
         ids = result.flagged_ids
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = _integers(ids, "ids must be integers")
     skipped = result.listas.skipped_pairs
     if ids.size == 0:
         return ListaSet(ids, (), result.listas.statistic, skipped)

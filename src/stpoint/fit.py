@@ -680,7 +680,7 @@ class LocalPoissonFit:
         ]
         ok = self.converged
         for j, nm in enumerate(self.names):
-            q = np.percentile(self.coef[ok, j], [25, 50, 75])
+            q = np.percentile(self.coef[ok, j], [25, 50, 75]) if ok.any() else [np.nan] * 3
             lines.append(f"  {nm}: {q[0]:.4f}  {q[1]:.4f}  {q[2]:.4f}")
         return "\n".join(lines)
 
@@ -719,8 +719,8 @@ def locstppm(
         h_space = 0.5 * (_silverman(pattern.x) + _silverman(pattern.y))
     if h_time is None:
         h_time = _silverman(pattern.t)
-    if h_space <= 0 or h_time <= 0:
-        raise ValueError("bandwidths must be positive")
+    if not (0 < h_space < np.inf and 0 < h_time < np.inf):  # NaN fails too
+        raise ValueError("bandwidths must be positive and finite")
 
     y = quad.is_data / quad.weights
     coef = np.full((n, p), np.nan)

@@ -194,19 +194,22 @@ def snap_to_network(network: LinearNetwork, x, y):
     return seg, off, snapped, dist
 
 
-def _segment_ids(network: LinearNetwork, seg) -> np.ndarray:
-    """Segment ids as int64, refused unless each is an integer in [0, S).
+def _integers(values, message: str) -> np.ndarray:
+    """values as int64, refused with message unless all are integers (3.0 is, 0.9 is not)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        values = values.astype(float)
+        if not (np.isfinite(values) & (values == np.floor(values))).all():
+            raise ValueError(message)
+    return values.astype(np.int64, copy=False)
 
-    Integral floats such as 3.0 are accepted; 0.9 is refused, not truncated.
-    """
-    seg = np.asarray(seg)
-    if seg.dtype.kind not in "biu":
-        seg = seg.astype(float)
-        if not (seg == np.floor(seg)).all():  # NaN fails here, +-inf below
-            raise ValueError("segment ids must be integers")
+
+def _segment_ids(network: LinearNetwork, seg) -> np.ndarray:
+    """Segment ids as int64, refused unless each is an integer in [0, S)."""
+    seg = _integers(seg, "segment ids must be integers")
     if ((seg < 0) | (seg >= len(network.segments))).any():
         raise ValueError(f"segment id outside [0, {len(network.segments)})")
-    return seg.astype(np.int64, copy=False)
+    return seg
 
 
 def _check_points(network: LinearNetwork, seg, off) -> Tuple[np.ndarray, np.ndarray]:
@@ -299,8 +302,10 @@ def _origin_blocks(network, n_origins: int, n_partners: int) -> list:
     """Slices of consecutive origins, each with about _CELLS cells per table.
 
     A block's tables have one row per origin and one column per partner,
-    vertex or (sub)segment; per partner only when network is None.  There
-    is always at least one, maybe empty, slice.
+    vertex or (sub)segment; per partner only when network is None.  The
+    origins are pair-table origins, the pairs of a lag fold, mark-imputation
+    query points or IDW grid nodes (against samples).  There is always at
+    least one, maybe empty, slice.
     """
     net = () if network is None else (len(network.vertices), len(network.segments) + 1)
     step = max(1, _CELLS // max(n_partners, 1, *net))

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import PointPattern, temporal_multiplicity
-from .network import _origin_blocks, _pair_geometry, point_vertex_distances
+from .network import _integers, _origin_blocks, _pair_geometry, point_vertex_distances
 
 __all__ = [
     "SummaryConfig",
@@ -84,11 +84,13 @@ def resolve_config(pattern: PointPattern, config: Optional[SummaryConfig]) -> Su
         else:
             rmax = _network_rmax(pattern)
         rs = rmax * np.arange(1, 11) / 10.0
-    rs = np.asarray(rs, dtype=float)
     if hs is None:
         hmax = pattern.interval.length / 4.0
         hs = hmax * np.arange(1, 11) / 10.0
-    hs = np.asarray(hs, dtype=float)
+    rs, hs = np.asarray(rs, dtype=float), np.asarray(hs, dtype=float)
+    for name, lags in (("rs", rs), ("hs", hs)):
+        if lags.ndim != 1 or lags.size == 0:
+            raise ValueError(f"lag grid {name} must be a non-empty 1-d array")
     if (np.diff(rs) <= 0).any() or (np.diff(hs) <= 0).any():
         raise ValueError("lag grids must be strictly increasing")
     if not (rs[0] > 0 and hs[0] > 0 and np.isfinite(rs).all() and np.isfinite(hs).all()):
@@ -336,7 +338,7 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
     if ids is None:
         ids = np.arange(1, n + 1)
     else:
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = _integers(ids, "ids must be integers")
         if ids.size == 0 or ids.min() < 1 or ids.max() > n:
             raise ValueError("ids must be 1-based event numbers")
     order = _canonical_order(pattern, lam)

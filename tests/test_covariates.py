@@ -1,6 +1,7 @@
 """Inverse-distance interpolation and grid lookup."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stpoint import (
     interpolate_idw,
     lookup_nearest,
 )
+from stpoint import network
 
 UNIT_W = SpatialWindow(0.0, 1.0, 0.0, 1.0)
 UNIT_T = TimeInterval(0.0, 1.0)
@@ -154,17 +156,24 @@ def test_idw_input_validation():
     assert (g.nx, g.ny, g.nt) == (3, 4, 5)
 
 
+def test_grid_must_be_three_integers():
+    # (3, 3) used to raise "not enough values to unpack"
+    for grid in ((3, 3), (3, 3, 3, 3), ((3, 3, 3),)):
+        with pytest.raises(ValueError, match="grid must be three integers"):
+            interpolate_idw(random_samples(4), grid=grid)
+
+
 @pytest.mark.parametrize(
     "nsamp, grid, bound",
     [
-        (64, (56, 56, 56), 15e6),  # the cli_covariate size: measured 8.3 MB
-        (2000, (60, 60, 3), 60e6),  # rows cut by the cell budget: 33.9 MB
+        (64, (56, 56, 56), 15e6),  # the cli_covariate size: measured 4.9 MB
+        (2000, (60, 60, 3), 60e6),  # nodes cut by the cell budget: 5.5 MB
     ],
 )
 def test_idw_memory_fence(nsamp, grid, bound):
-    # nodes are taken a time slice at a time in blocks of at most _CELLS
-    # node-sample cells; a (nodes x samples x 3) difference block per
-    # 65,536 nodes peaks at 318 MB and 1.2 GB on these cases
+    # nodes are taken a time slice at a time in blocks of at most
+    # network._CELLS node-sample cells; a (nodes x samples x 3) difference
+    # block per 65,536 nodes peaks at 318 MB and 1.2 GB on these cases
     samples = random_samples(nsamp, seed=7)
     tracemalloc.start()
     try:
@@ -173,6 +182,21 @@ def test_idw_memory_fence(nsamp, grid, bound):
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_idw_blocks_follow_the_shared_cell_budget():
+    # IDW takes its node blocks from network._origin_blocks, so shrinking
+    # the one budget shrinks them: measured 1.8 MB here, against 4.9 MB
+    # at the real budget and 8.3 MB under a private budget of 2^20 cells
+    samples = random_samples(64, seed=7)
+    with mock.patch.object(network, "_CELLS", 2**12):
+        tracemalloc.start()
+        try:
+            interpolate_idw(samples, grid=(56, 56, 56), window=UNIT_W, interval=UNIT_T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 3e6
 
 
 def small_grid():

@@ -2,13 +2,14 @@
 
 ``stpoint.covariates.interpolate_idw`` forms squared node-sample
 distances from per-axis tables of squared gaps, one time slice at a time
-in blocks of at most ``_CELLS`` node-sample cells.  ``covariates_reference``
-keeps the rule it replaced, which materialised every node and a
-(nodes x samples x 3) difference block.  On random samples (J from 1 to
-150, powers 1, 2, 2.5 and 3, non-unit windows and intervals, sites placed
-exactly on grid nodes, duplicate sites) the two grids are bit-identical,
-with the cell budget at its real value and shrunk so that slices split
-into several blocks of rows, of nodes within a row, or of single nodes.
+in blocks of at most ``network._CELLS`` node-sample cells.
+``covariates_reference`` keeps the rule it replaced, which materialised
+every node and a (nodes x samples x 3) difference block.  On random
+samples (J from 1 to 150, powers 1, 2, 2.5 and 3, non-unit windows and
+intervals, sites placed exactly on grid nodes, duplicate sites) the two
+grids are bit-identical, with the cell budget at its real value and
+shrunk so that slices split into several blocks of nodes, or of single
+nodes.
 """
 
 import warnings
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpoint import SpatialWindow, TimeInterval, interpolate_idw
-from stpoint import covariates
+from stpoint import network
 
 import covariates_reference as ref
 
@@ -54,9 +55,9 @@ def idw_cases(draw):
             window = interval = None
     cells = draw(
         st.one_of(
-            st.just(covariates._CELLS),  # the real budget: whole slices here
+            st.just(network._CELLS),  # the real budget: whole slices here
             st.integers(1, len(samples)),  # one node per block
-            st.integers(len(samples), nx * ny * len(samples)),  # nodes or rows
+            st.integers(len(samples), nx * ny * len(samples)),  # several nodes
         )
     )
     power = draw(POWERS)
@@ -71,7 +72,7 @@ def test_interpolate_idw_equals_reference(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # conflicting duplicates
         want = ref.interpolate_idw(samples, **kw)
-        with mock.patch.object(covariates, "_CELLS", cells):
+        with mock.patch.object(network, "_CELLS", cells):
             got = interpolate_idw(samples, **kw)
     assert (got.x0, got.dx, got.nx, got.y0, got.dy, got.ny) == (
         want.x0, want.dx, want.nx, want.y0, want.dy, want.ny,

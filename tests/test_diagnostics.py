@@ -128,6 +128,22 @@ def test_localtest_on_network(net_poisson, grid_network):
     assert np.array_equal(shuffled.pvalues, res.pvalues[perm])
 
 
+def test_integer_arguments_are_not_truncated(poisson100):
+    # k=2.5 used to raise a bare TypeError; infl ids [1.5] read as [1]
+    Z = sim_poisson(IntensitySpec.constant(25.0), seed=3)
+    for k in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            localtest(poisson100, Z, k=k, seed=0)
+    with pytest.warns(UserWarning, match="cannot reach significance"):
+        got = localtest(poisson100, Z, k=3.0, seed=0)
+        want = localtest(poisson100, Z, k=3, seed=0)
+    assert got.k == 3 and np.array_equal(got.pvalues, want.pvalues)
+    res = localdiag(poisson100, 100.0)
+    with pytest.raises(ValueError, match="ids must be integers"):
+        infl(res, ids=[1.5])
+    assert infl(res, ids=[2.0]).ids.tolist() == [2]
+
+
 def test_localtest_validation(poisson100, unit_window, unit_interval):
     Z = sim_poisson(IntensitySpec.constant(25.0), seed=3)
     with pytest.raises(ValueError, match="k must be at least 1"):

@@ -460,6 +460,21 @@ def test_underflowing_kernel_weights_give_nan_rows():
     assert np.isnan(lf.coef).all() and np.isnan(lf.fitted).all()
 
 
+def test_local_fit_with_no_converged_event_prints_nan_quartiles():
+    # np.percentile of no converged rows used to raise IndexError
+    lf = locstppm(sim_poisson(150.0, seed=3), h_space=0.001, h_time=0.001)
+    assert not lf.converged.any()
+    assert "(Intercept): nan  nan  nan" in str(lf)
+
+
+def test_local_fit_refuses_non_finite_bandwidths(poisson100):
+    # h_space=nan made every event silently non-converged, h_time=inf gave
+    # the global fit
+    for bw in ({"h_space": math.nan}, {"h_time": math.inf}, {"h_space": -math.inf}):
+        with pytest.raises(ValueError, match="bandwidths must be positive and finite"):
+            locstppm(poisson100, "~1", **bw)
+
+
 def test_local_fit_validation(poisson100):
     with pytest.raises(ValueError, match="bandwidths"):
         locstppm(poisson100, "~1", h_space=-1.0, h_time=0.1)

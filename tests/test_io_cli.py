@@ -344,6 +344,26 @@ def test_summary_refuses_non_finite_lags(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_local_poisson_with_no_converged_event_writes_its_run(tmp_path, capsys):
+    # printing the fit used to raise IndexError, so run.json was not written
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    out = tmp_path / "loc"
+    assert main(["fit", "local-poisson", "--pattern", str(pat_csv), "--h-space", "0.001",
+                 "--h-time", "0.001", "--seed", "1", "-o", str(out)]) == 0
+    assert "(Intercept): nan  nan  nan" in capsys.readouterr().out
+    assert json.loads((out / "model.json").read_text())["n_converged"] == 0
+    assert "model.json" in json.loads((out / "run.json").read_text())["outputs"]
+
+
+def test_local_poisson_refuses_non_finite_bandwidths(tmp_path, capsys):
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    for flags in (["--h-space", "nan"], ["--h-time", "inf"]):
+        code = main(["fit", "local-poisson", "--pattern", str(pat_csv), *flags,
+                     "--seed", "1", "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert "bandwidths must be positive and finite" in capsys.readouterr().err
+
+
 def test_diagnose_global_equivalence(tmp_path, capsys):
     pat_csv = simulate_pattern(tmp_path, capsys)
     pattern = read_pattern_csv(pat_csv)

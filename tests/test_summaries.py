@@ -78,6 +78,25 @@ def test_config_validation(poisson100):
             resolve_config(poisson100, SummaryConfig(**bw))
     with pytest.raises(ValueError, match="lags must be positive and finite"):
         second_order_global(poisson100, 300.0, SummaryConfig(rs=np.array([0.1, nan])))
+    # empty grids used to raise a bare IndexError, 2-d ones numpy's
+    # "truth value ... is ambiguous"
+    for name, lags in (("rs", np.array([])), ("hs", []), ("rs", np.array([[0.1, 0.2]])),
+                       ("hs", [[0.1], [0.2]])):
+        with pytest.raises(ValueError, match=f"lag grid {name} must be a non-empty 1-d"):
+            resolve_config(poisson100, SummaryConfig(**{name: lags}))
+    with pytest.raises(ValueError, match="lag grid rs"):
+        second_order_global(poisson100, 300.0, SummaryConfig(rs=np.array([])))
+
+
+def test_local_ids_must_be_integers(poisson100):
+    # truncated, ids [1.5, 2.9] used to come back as [1, 2]
+    for ids in ([1.5, 2.9], [np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="ids must be integers"):
+            second_order_local(poisson100, 100.0, ids=ids)
+    got = second_order_local(poisson100, 100.0, ids=[2.0, 5])
+    assert got.ids.tolist() == [2, 5]
+    want = second_order_local(poisson100, 100.0, ids=[2, 5])
+    assert all(np.array_equal(a.est, b.est) for a, b in zip(got.surfaces, want.surfaces))
 
 
 def test_lam_validation(poisson100):
