@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import PointPattern
-from .network import _integers
+from .network import _integers, _origin_blocks
 from .summaries import (
     ListaSet,
     SummaryConfig,
@@ -98,8 +98,16 @@ def localtest(
     Z only would nearly coincide whenever the patterns have similar
     sizes, collapsing the null spread and flagging almost every point.
     Intensities are homogeneous, n_X / volume for every surface, since
-    each compared pattern holds exactly n_X events.  For a given seed the
-    p-values do not depend on the row order of X or Z.
+    each compared pattern holds exactly n_X events.
+
+    Event x_i draws its k subsets from its own child of
+    ``SeedSequence(seed)``: a (k, |pool|) block of uniform keys over the
+    pool in canonical event order, drawn in row blocks of
+    ``network._origin_blocks`` (the same keys as one draw), and each
+    subset holds the n_X - 1 pool members with the smallest keys of its
+    row.  Only x_i's in-range partners are looked up, and each surface
+    sums its pairs in pool order.  For a given seed the p-values do not
+    depend on the row order of X or Z.
     """
     X, Z = background, alternative
     if X.window != Z.window or X.interval != Z.interval:
@@ -130,7 +138,7 @@ def localtest(
     Z = Z.subset(_canonical_order(Z))
 
     # X against the pooled events [X, Z]: each origin's in-range partner
-    # rows; the pair (x_i, x_i) is listed too, but no partner set holds it
+    # rows; the pair (x_i, x_i) is listed too and dropped below
     seg = off = None
     if X.network is not None:
         seg, off = np.concatenate([X.net_seg, Z.net_seg]), np.concatenate([X.net_off, Z.net_off])
@@ -140,22 +148,28 @@ def localtest(
 
     children = np.random.SeedSequence(seed).spawn(nX)
     pvalues = np.empty(nX)
-    own = np.arange(nX)
-    slot = np.full(nX + nZ, -1)  # partner -> its pair row for the current origin
+    size, n_pool = nX - 1, nX - 1 + nZ
     for i in range(nX):
+        # origin i's in-range partners, without itself, and their positions
+        # in its pool (X minus x_i) then Z; pairs come in ascending partner
+        # order, so in pool order
         mine = np.arange(start[i], start[i + 1])
-        slot[partner[mine]] = mine
-        others = np.delete(own, i)
-        pool = np.concatenate([others, nX + np.arange(nZ)])
+        mine = mine[partner[mine] != i]
+        pos = partner[mine] - (partner[mine] > i)
+        # row 0 is the observed partner set, rows 1..k the random subsets:
+        # each the size smallest of n_pool uniform keys, drawn in row blocks
+        # of one stream (the same keys as one draw)
+        hit = np.zeros((k + 1, len(mine)), dtype=bool)
+        hit[0] = pos < size
         rng = np.random.default_rng(children[i])
-        # row 0 is the observed partner set, rows 1..k the random subsets;
-        # each surface sums its pairs in the order the subset lists them
-        draws = [rng.choice(pool, size=nX - 1, replace=False) for _ in range(k)]
-        hit = slot[np.vstack([others] + draws)]
-        sub, pos = np.nonzero(hit >= 0)
-        pick = hit[sub, pos]
+        for rows in _origin_blocks(None, k, n_pool) if size else ():  # else all empty
+            block = hit[1:][rows]
+            keys = rng.random((len(block), n_pool))
+            cut = np.partition(keys, size - 1, axis=1)[:, size - 1]
+            block[:] = keys[:, pos] <= cut[:, None]
+        sub, at = np.nonzero(hit)
+        pick = mine[at]
         surf = _lag_sums(X, cfg, scale, d[pick], dt[pick], w[pick], sub, k + 1)
-        slot[partner[mine]] = -1
         obs, null = surf[0], surf[1:]
         mean_null = null.mean(axis=0)
         t_obs = float(np.sum((obs - mean_null) ** 2))

@@ -8,9 +8,10 @@ discretised likelihood.  One builder makes every such scheme: ``_grid``
 cuts a box into cells, places the dummies and gives every point its cell,
 and ``_counting_weights`` turns cells into weights.  ``make_quadrature``
 uses it on (x, y, t) or (arc, t), ``sep_fit`` on each of its margins.
-Local models refit the same GLM with Gaussian kernel weights centred at
-each event; separable models fit spatial and temporal margins
-independently and renormalise the product.
+Local models run the same Poisson IRLS with Gaussian kernel weights
+centred at each event, a block of events in lockstep; separable models
+fit spatial and temporal margins independently and renormalise the
+product.
 """
 
 from __future__ import annotations
@@ -690,6 +691,96 @@ def _silverman(values: np.ndarray) -> float:
     return 1.06 * float(np.std(values)) * n ** (-0.2)
 
 
+def _poisson_deviance(w, y, mu):
+    """Row deviances 2 sum w (y log(y / mu) - (y - mu)) of a (E, m) mu."""
+    term = mu - y
+    data = y > 0  # y log(y / mu) is 0 where y is
+    term[:, data] = y[data] * np.log(y[data] / mu[:, data]) - (y[data] - mu[:, data])
+    return 2.0 * np.sum(w * term, axis=1)
+
+
+def _stacked_solve(A, b):
+    """x with A[e] x[e] = b[e]; NaN rows where A[e] is singular or not finite."""
+    x = np.full(b.shape, np.nan)
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if not ok.any():
+        return x
+    try:  # b as a stack of columns: numpy 2 reads a 2-d b as one matrix
+        x[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
+        for e in np.flatnonzero(ok):
+            try:
+                x[e] = np.linalg.solve(A[e], b[e])
+            except np.linalg.LinAlgError:
+                pass
+    return x
+
+
+def _rows(mask, *arrays):
+    """The rows of each array where mask holds; the arrays if it holds everywhere."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _local_irls(X, y, w, tol, maxit=50):
+    """Poisson log-link IRLS of design X (m, p) for each weight row of w (E, m).
+
+    Every row takes ``fit_glm``'s steps, all rows advancing together: the
+    same start, the score test at tol * max(1, sum w|y|) before each step
+    after the first, and, from step 2 on, halving while the deviance
+    worsens.  Each weighted least-squares step is solved through its (p, p)
+    normal equations, stacked over the rows; from step 2 on as the Newton
+    increment X'WX d = X'w(y - mu) on the previous coefficients, which
+    loses less to rounding than solving for the new coefficients whole.
+    A row leaves the active set once it converges.  It gets a NaN
+    coefficient row when its normal equations are singular or not finite,
+    when 30 halvings in one step do not help, or when it is still
+    unconverged after ``maxit`` steps.  Returns coef (E, p).
+    """
+    E, p = len(w), X.shape[1]
+    coef = np.full((E, p), np.nan)
+    cross = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)
+    scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1))
+    mu = y + max(float(np.mean(y)), 1e-8) * 0.5 + 1e-12
+    mu, eta = np.broadcast_to(mu, w.shape), np.broadcast_to(np.log(mu), w.shape)
+    dev = _poisson_deviance(w, y, mu)
+    rows, beta = np.arange(E), np.zeros((E, p))
+    for it in range(maxit + 1):  # it: steps taken so far
+        score = (w * (y - mu)) @ X
+        if it:
+            done = np.max(np.abs(score), axis=1) < tol * scale
+            coef[rows[done]] = beta[done]
+            rows, w, mu, eta, dev, scale, beta, score = _rows(
+                ~done, rows, w, mu, eta, dev, scale, beta, score
+            )
+            if it == maxit or not len(rows):
+                break
+        var = np.maximum(mu, 1e-300)
+        ww = w * var
+        rhs = score if it else (ww * (eta + (y - mu) / var)) @ X
+        new = beta + _stacked_solve((ww @ cross).reshape(-1, p, p), rhs)
+        solved = np.isfinite(new).all(axis=1)
+        rows, w, dev, scale, beta, new = _rows(solved, rows, w, dev, scale, beta, new)
+        eta = new @ X.T
+        mu = np.exp(np.clip(eta, -700, 700))
+        dev_new = _poisson_deviance(w, y, mu)
+        if it:  # no reference point to halve toward on step 1
+            worse = ~(dev_new <= dev + 1e-10 * (np.abs(dev) + 1.0))
+            for _ in range(30):
+                if not worse.any():
+                    break
+                at = np.flatnonzero(worse)
+                new[at] = 0.5 * (new[at] + beta[at])
+                eta[at] = new[at] @ X.T
+                mu[at] = np.exp(np.clip(eta[at], -700, 700))
+                dev_new[at] = _poisson_deviance(w[at], y, mu[at])
+                worse[at] = ~(dev_new[at] <= dev[at] + 1e-10 * (np.abs(dev[at]) + 1.0))
+            rows, w, mu, eta, dev_new, scale, new = _rows(  # drop exhausted halvings
+                ~worse, rows, w, mu, eta, dev_new, scale, new
+            )
+        beta, dev = new, dev_new
+    return coef
+
+
 def locstppm(
     pattern: PointPattern,
     trend="~1",
@@ -705,45 +796,61 @@ def locstppm(
     Event i reuses the global quadrature with weights multiplied by
     Gaussian kernels exp(-|s - s_i|^2 / (2 h_space^2)) and
     exp(-(t - t_i)^2 / (2 h_time^2)).  Default bandwidths follow
-    Silverman's rule per axis (the two spatial values averaged).
-    Non-converged events get NaN coefficient rows, not an error.
+    Silverman's rule per axis (the two spatial values averaged); where an
+    axis does not vary that rule gives 0 and the bandwidth must be given.
+
+    The refits run as one lockstep IRLS over a block of events at a time
+    (the blocks of ``network._origin_blocks``, whose kernel rows are built
+    in the block, so no (n x quadrature) table exists).  Each event takes
+    ``fit_glm``'s steps, solved through stacked normal equations rather
+    than one least-squares factorisation, so where its local likelihood is
+    well determined its coefficients agree with a lone ``fit_glm`` refit
+    within 1e-9 relative, not bit for bit.  (Where the likelihood is nearly
+    flat, the score test can stop the two at different points of the flat
+    valley.)  Events whose kernel weights underflow to 0, whose step halving
+    is exhausted, whose normal equations are singular or that do not
+    converge in 50 steps get NaN coefficient rows, not an error; an
+    aliased design gives NaN rows for every event.
     """
     ast = parse_formula(trend)
     n = pattern.n
     quad = make_quadrature(pattern, nd=nd, seed=seed)
     design = build_design(ast, quad.coords, quad.marks, covs)
-    p = design.matrix.shape[1]
+    X = design.matrix
+    p = X.shape[1]
     if n < p + 2:
         raise ValueError(f"need at least {p + 2} events to fit {p} coefficients")
+    defaults = []
     if h_space is None:
         h_space = 0.5 * (_silverman(pattern.x) + _silverman(pattern.y))
+        defaults.append(("h_space", h_space, "x and y"))
     if h_time is None:
         h_time = _silverman(pattern.t)
+        defaults.append(("h_time", h_time, "t"))
+    for name, h, axes in defaults:
+        if h == 0:
+            raise ValueError(
+                f"bandwidths must be positive: Silverman's rule gives {name} = 0 "
+                f"because the events do not vary in {axes}; pass {name}"
+            )
     if not (0 < h_space < np.inf and 0 < h_time < np.inf):  # NaN fails too
         raise ValueError("bandwidths must be positive and finite")
 
     y = quad.is_data / quad.weights
     coef = np.full((n, p), np.nan)
-    fitted = np.full(n, np.nan)
-    converged = np.zeros(n, dtype=bool)
     qx, qy, qt = quad.coords.T
-    data_rows = np.flatnonzero(quad.is_data)
+    # positive weights cannot change the rank: one scan serves every event
+    if not _aliased_columns(X, design.names, quad.weights):
+        for rows in _origin_blocks(None, n, len(X)):
+            d2s = (qx - pattern.x[rows, None]) ** 2 + (qy - pattern.y[rows, None]) ** 2
+            d2t = (qt - pattern.t[rows, None]) ** 2
+            w = quad.weights * np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
+            live = (w > 0).all(axis=1)  # rows whose kernel weights underflow stay NaN
+            coef[rows.start + np.flatnonzero(live)] = _local_irls(X, y, w[live], tol)
+    converged = np.isfinite(coef).all(axis=1)
     row_of_event = np.empty(n, dtype=int)
-    row_of_event[quad.data_index[quad.is_data]] = data_rows
-    for i in range(n):
-        # event i's kernel row, built here so no (n x quadrature) table exists
-        d2s = (qx - pattern.x[i]) ** 2 + (qy - pattern.y[i]) ** 2
-        d2t = (qt - pattern.t[i]) ** 2
-        wi = quad.weights * np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
-        if not (wi > 0).all():  # kernel weights underflowed: not converged
-            continue
-        try:
-            res = fit_glm(design.matrix, y, wi, names=design.names, tol=tol)
-        except FitError:
-            continue
-        coef[i] = res.coef
-        converged[i] = True
-        fitted[i] = math.exp(float(design.matrix[row_of_event[i]] @ res.coef))
+    row_of_event[quad.data_index[quad.is_data]] = np.flatnonzero(quad.is_data)
+    fitted = np.exp(np.sum(X[row_of_event] * coef, axis=1))
     return LocalPoissonFit(
         ast, design.names, coef, converged, float(h_space), float(h_time),
         fitted, pattern,
