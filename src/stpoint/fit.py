@@ -8,10 +8,11 @@ discretised likelihood.  One builder makes every such scheme: ``_grid``
 cuts a box into cells, places the dummies and gives every point its cell,
 and ``_counting_weights`` turns cells into weights.  ``make_quadrature``
 uses it on (x, y, t) or (arc, t), ``sep_fit`` on each of its margins.
-Local models run the same Poisson IRLS with Gaussian kernel weights
-centred at each event, a block of events in lockstep; separable models
-fit spatial and temporal margins independently and renormalise the
-product.
+One IRLS fits every such GLM: ``_irls`` solves stacked normal equations
+for a block of weight rows in lockstep; ``fit_glm`` runs it on one row
+for the global and separable fits, ``locstppm`` on Gaussian kernel rows
+centred at each event.  Separable models fit spatial and temporal
+margins independently and renormalise the product.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import MarkColumn, PointPattern
+from . import network
 from .formula import Formula, build_design, parse_formula
 from .network import _origin_blocks
 
@@ -290,11 +292,151 @@ def _aliased_columns(X: np.ndarray, names, w: np.ndarray):
     return aliased
 
 
-def _xlogy(x, y):
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    pos = x > 0
-    out[pos] = x[pos] * np.log(y[pos])
-    return out
+def _poisson_deviance(w, y, mu):
+    """Row deviances 2 sum w (y log(y / mu) - (y - mu)) of a (E, m) mu."""
+    term = mu - y
+    data = y > 0  # y log(y / mu) is 0 where y is
+    term[:, data] = y[data] * np.log(y[data] / mu[:, data]) - (y[data] - mu[:, data])
+    return 2.0 * np.sum(w * term, axis=1)
+
+
+def _binomial_deviance(w, y, mu):
+    """Row deviances 2 sum w (y log(y / mu) + (1 - y) log((1 - y) / (1 - mu)))."""
+    term = np.zeros(mu.shape)
+    hit, miss = y > 0, y < 1  # each log term is 0 where its factor is
+    term[:, hit] = y[hit] * np.log(y[hit] / mu[:, hit])
+    term[:, miss] += (1.0 - y[miss]) * np.log((1.0 - y[miss]) / (1.0 - mu[:, miss]))
+    return 2.0 * np.sum(w * term, axis=1)
+
+
+class _Family(NamedTuple):
+    """What the IRLS needs of a GLM family, for weight rows w of shape (E, m)."""
+    start: Callable  # (w, y) -> starting eta, (m,) or (E, m)
+    inv_link: Callable  # eta -> mu
+    variance: Callable  # mu -> variance function
+    deviance: Callable  # (w, y, mu) -> (E,) row deviances
+    separated: Callable  # (eta, offset) -> (E,) rows whose predictor ran off
+
+
+_FAMILIES = {
+    "poisson": _Family(
+        lambda w, y: np.log(y + max(float(np.mean(y)), 1e-8) * 0.5 + 1e-12),
+        lambda eta: np.exp(np.clip(eta, -700, 700)),
+        lambda mu: mu,
+        _poisson_deviance,
+        lambda eta, offset: np.zeros(len(eta), dtype=bool),
+    ),
+    "binomial": _Family(
+        lambda w, y: np.log((w * y + 0.5) / (w * (1.0 - y) + 0.5)),  # logit of (wy + .5) / (w + 1)
+        lambda eta: 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700))),
+        lambda mu: mu * (1.0 - mu),
+        _binomial_deviance,
+        lambda eta, offset: np.max(np.abs(eta - offset), axis=1) > 30.0,
+    ),
+}
+
+
+def _stacked_solve(A, b):
+    """x with A[e] x[e] = b[e]; NaN rows where A[e] is singular or not finite."""
+    x = np.full(b.shape, np.nan)
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    if not ok.any():
+        return x
+    try:  # b as a stack of columns: numpy 2 reads a 2-d b as one matrix
+        x[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
+        for e in np.flatnonzero(ok):
+            try:
+                x[e] = np.linalg.solve(A[e], b[e])
+            except np.linalg.LinAlgError:
+                pass
+    return x
+
+
+def _rows(mask, *arrays):
+    """The rows of each array where mask holds; the arrays if it holds everywhere."""
+    return arrays if mask.all() else tuple(a[mask] for a in arrays)
+
+
+def _irls(X, y, w, tol, maxit=50, family="poisson", offset=0.0):
+    """``fit_glm``'s IRLS for each weight row of w (E, m), the rows in lockstep.
+
+    X is the (m, p) design and y the (m,) response.  Each step solves the
+    (p, p) normal equations stacked over the active rows; the Newton
+    increments from step 2 on lose less to rounding than whole-vector steps
+    where mu spans many orders of magnitude.  A row leaves the active set
+    with its exit: "converged", or a key of ``_FAILURES``.  Returns coef
+    (E, p), NaN but where a row converged, and per row the steps taken,
+    deviance, score norm and exit.
+    """
+    fam = _FAMILIES[family]
+    E, p = w.shape[0], X.shape[1]
+    coef = np.full((E, p), np.nan)
+    n_iter, deviance, score_norm = np.zeros(E, dtype=int), np.full(E, np.nan), np.full(E, np.nan)
+    reason = np.full(E, "capped", dtype=object)
+    # X'WX as one (E, m) @ (m, p^2) product with the column products, made
+    # from X' (long inner loops) in row blocks of the cell budget; E separate
+    # (p, m) @ (m, p) products cost 10-50x more on blocks of local rows
+    XT, step = np.ascontiguousarray(X.T), max(1, network._CELLS // (p * p))
+    scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1))
+    eta = np.broadcast_to(fam.start(w, y), w.shape)
+    mu = fam.inv_link(eta)
+    dev = fam.deviance(w, y, mu)
+    rows, beta = np.arange(E), np.zeros((E, p))
+    for it in range(maxit + 1):  # it: steps taken so far
+        score = (w * (y - mu)) @ X
+        n_iter[rows], deviance[rows], score_norm[rows] = it, dev, np.max(np.abs(score), axis=1)
+        if it:
+            done = score_norm[rows] < tol * scale
+            off = ~done & fam.separated(eta, offset)
+            coef[rows[done]] = beta[done]
+            reason[rows[done]] = "converged"
+            reason[rows[off]] = "separated"
+            rows, w, mu, eta, dev, scale, beta, score = _rows(
+                ~(done | off), rows, w, mu, eta, dev, scale, beta, score
+            )
+        if it == maxit or not len(rows):
+            break
+        var = np.maximum(fam.variance(mu), 1e-300)
+        ww = w * var
+        rhs = score if it else (ww * (eta - offset + (y - mu) / var)) @ X
+        gram = np.zeros((len(rows), p * p))
+        for a in range(0, len(X), step):
+            Xa = XT[:, a:a + step]
+            gram += ww[:, a:a + step] @ (Xa[:, None, :] * Xa[None, :, :]).reshape(p * p, -1).T
+        new = beta + _stacked_solve(gram.reshape(-1, p, p), rhs)
+        solved = np.isfinite(new).all(axis=1)
+        reason[rows[~solved]] = "singular"
+        rows, w, dev, scale, beta, new = _rows(solved, rows, w, dev, scale, beta, new)
+        eta = new @ X.T + offset
+        mu = fam.inv_link(eta)
+        dev_new = fam.deviance(w, y, mu)
+        if it:  # no reference point to halve toward on step 1
+            worse = ~(dev_new <= dev + 1e-10 * (np.abs(dev) + 1.0))
+            for _ in range(30):
+                if not worse.any():
+                    break
+                at = np.flatnonzero(worse)
+                new[at] = 0.5 * (new[at] + beta[at])
+                eta[at] = new[at] @ X.T + offset
+                mu[at] = fam.inv_link(eta[at])
+                dev_new[at] = fam.deviance(w[at], y, mu[at])
+                worse[at] = ~(dev_new[at] <= dev[at] + 1e-10 * (np.abs(dev[at]) + 1.0))
+            reason[rows[worse]] = "halving"
+            rows, w, mu, eta, dev_new, scale, new = _rows(
+                ~worse, rows, w, mu, eta, dev_new, scale, new
+            )
+        beta, dev = new, dev_new
+    return coef, n_iter, deviance, score_norm, reason
+
+
+# the other exits of _irls, and what fit_glm raises for each
+_FAILURES = {
+    "singular": (FitError, "IRLS normal equations are singular or not finite"),
+    "halving": (DivergenceError, "IRLS step halving exhausted; deviance does not improve"),
+    "separated": (DivergenceError, "coefficients diverging; possible complete separation"),
+    "capped": (FitError, "IRLS did not converge in {maxit} iterations"),
+}
 
 
 def fit_glm(
@@ -309,10 +451,17 @@ def fit_glm(
 ) -> GlmResult:
     """Weighted GLM with log (Poisson) or logit (binomial) link, by IRLS.
 
-    Each step solves the weighted least-squares system through a dense
-    orthogonal factorisation, halving the step while the deviance worsens.
-    Convergence is declared when the score satisfies
-    ||X'(w(y - mu))||_inf < tol * max(1, sum w|y|).
+    The module's one IRLS, which the local fits run too, on one weight
+    row: step 1 solves the weighted normal equations for the whole
+    coefficient vector, later steps for the Newton increment
+    X'WX d = X'w(y - mu), halving a step while the deviance worsens.  It
+    converges when ||X'(w(y - mu))||_inf < tol * max(1, sum w|y|) after a
+    step.  Raises ``RankDeficiencyError`` naming aliased columns,
+    ``DivergenceError`` when 30 halvings do not improve a step or a logit
+    predictor runs past 30 (possible complete separation), and
+    ``FitError`` when the normal equations are singular or ``maxit`` steps
+    do not converge.  X, y, weights and offset must be finite, one entry
+    per row of X; a scalar offset applies to every row.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -320,14 +469,21 @@ def fit_glm(
     m, p = X.shape
     if names is None:
         names = tuple(f"b{j}" for j in range(p))
-    if offset is None:
-        offset = np.zeros(m)
-    else:
-        offset = np.asarray(offset, dtype=float)
+    offset = np.asarray(0.0 if offset is None else offset, dtype=float)
+    if offset.ndim == 0:  # a scalar offset applies to every row
+        offset = np.full(m, offset)
+    for name, v in (("y", y), ("weights", w), ("offset", offset)):
+        if v.shape != (m,):
+            raise ValueError(f"{name} must have one entry per row of X ({m}), got shape {v.shape}")
+    for name, v in (("X", X), ("y", y), ("weights", w), ("offset", offset)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     if (w <= 0).any():
         raise ValueError("weights must be positive")
-    if family not in ("poisson", "binomial"):
+    if family not in _FAMILIES:
         raise ValueError("family must be 'poisson' or 'binomial'")
+    if family == "poisson" and (y < 0).any():
+        raise ValueError("y must be non-negative for the poisson family")
     if family == "binomial" and ((y < 0) | (y > 1)).any():
         raise ValueError("binomial responses must lie in [0, 1]")
 
@@ -337,77 +493,11 @@ def fit_glm(
             "design matrix is rank deficient; aliased columns: "
             + ", ".join(str(a) for a in aliased)
         )
-
-    if family == "poisson":
-        mu = y + max(float(np.mean(y)), 1e-8) * 0.5 + 1e-12
-        eta = np.log(mu)
-
-        def inv_link(e):
-            return np.exp(np.clip(e, -700, 700))
-
-        def variance(mu):
-            return mu
-
-        def deviance(mu):
-            return 2.0 * float(np.sum(w * (_xlogy(y, y / mu) - (y - mu))))
-
-    else:
-        mu = (w * y + 0.5) / (w + 1.0)
-        eta = np.log(mu / (1.0 - mu))
-
-        def inv_link(e):
-            return 1.0 / (1.0 + np.exp(-np.clip(e, -700, 700)))
-
-        def variance(mu):
-            return mu * (1.0 - mu)
-
-        def deviance(mu):
-            return 2.0 * float(
-                np.sum(w * (_xlogy(y, y / mu) + _xlogy(1.0 - y, (1.0 - y) / (1.0 - mu))))
-            )
-
-    scale = max(1.0, float(np.sum(w * np.abs(y))))
-    beta = None
-    dev = deviance(mu)
-    for it in range(1, maxit + 1):
-        var = np.maximum(variance(mu), 1e-300)
-        score = X.T @ (w * (y - mu))
-        score_norm = float(np.max(np.abs(score)))
-        if beta is not None and score_norm < tol * scale:
-            return GlmResult(tuple(names), beta, True, it - 1, dev, score_norm)
-        z = (eta - offset) + (y - mu) / var
-        ww = w * var
-        sw = np.sqrt(ww)
-        new_beta, *_ = np.linalg.lstsq(X * sw[:, None], z * sw, rcond=None)
-        if beta is not None:  # no reference point to halve toward on step 1
-            halvings = 0
-            while True:
-                eta_try = offset + X @ new_beta
-                mu_try = inv_link(eta_try)
-                dev_try = deviance(mu_try)
-                if dev_try <= dev + 1e-10 * (abs(dev) + 1.0):
-                    break
-                halvings += 1
-                if halvings > 30:
-                    raise DivergenceError(
-                        "IRLS step halving exhausted; deviance does not improve"
-                    )
-                new_beta = 0.5 * (new_beta + beta)
-        beta = new_beta
-        eta = offset + X @ beta
-        mu = inv_link(eta)
-        dev = deviance(mu)
-        if family == "binomial" and float(np.max(np.abs(eta - offset))) > 30.0:
-            score = X.T @ (w * (y - mu))
-            if float(np.max(np.abs(score))) >= tol * scale:
-                raise DivergenceError(
-                    "coefficients diverging; possible complete separation"
-                )
-    score = X.T @ (w * (y - mu))
-    score_norm = float(np.max(np.abs(score)))
-    if score_norm < tol * scale:
-        return GlmResult(tuple(names), beta, True, maxit, dev, score_norm)
-    raise FitError(f"IRLS did not converge in {maxit} iterations")
+    coef, n_iter, dev, score, reason = _irls(X, y, w[None], tol, maxit, family, offset)
+    if reason[0] != "converged":
+        error, message = _FAILURES[reason[0]]
+        raise error(message.format(maxit=maxit))
+    return GlmResult(tuple(names), coef[0], True, int(n_iter[0]), float(dev[0]), float(score[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -691,96 +781,6 @@ def _silverman(values: np.ndarray) -> float:
     return 1.06 * float(np.std(values)) * n ** (-0.2)
 
 
-def _poisson_deviance(w, y, mu):
-    """Row deviances 2 sum w (y log(y / mu) - (y - mu)) of a (E, m) mu."""
-    term = mu - y
-    data = y > 0  # y log(y / mu) is 0 where y is
-    term[:, data] = y[data] * np.log(y[data] / mu[:, data]) - (y[data] - mu[:, data])
-    return 2.0 * np.sum(w * term, axis=1)
-
-
-def _stacked_solve(A, b):
-    """x with A[e] x[e] = b[e]; NaN rows where A[e] is singular or not finite."""
-    x = np.full(b.shape, np.nan)
-    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
-    if not ok.any():
-        return x
-    try:  # b as a stack of columns: numpy 2 reads a 2-d b as one matrix
-        x[ok] = np.linalg.solve(A[ok], b[ok][..., None])[..., 0]
-    except np.linalg.LinAlgError:  # some matrix is singular: solve one by one
-        for e in np.flatnonzero(ok):
-            try:
-                x[e] = np.linalg.solve(A[e], b[e])
-            except np.linalg.LinAlgError:
-                pass
-    return x
-
-
-def _rows(mask, *arrays):
-    """The rows of each array where mask holds; the arrays if it holds everywhere."""
-    return arrays if mask.all() else tuple(a[mask] for a in arrays)
-
-
-def _local_irls(X, y, w, tol, maxit=50):
-    """Poisson log-link IRLS of design X (m, p) for each weight row of w (E, m).
-
-    Every row takes ``fit_glm``'s steps, all rows advancing together: the
-    same start, the score test at tol * max(1, sum w|y|) before each step
-    after the first, and, from step 2 on, halving while the deviance
-    worsens.  Each weighted least-squares step is solved through its (p, p)
-    normal equations, stacked over the rows; from step 2 on as the Newton
-    increment X'WX d = X'w(y - mu) on the previous coefficients, which
-    loses less to rounding than solving for the new coefficients whole.
-    A row leaves the active set once it converges.  It gets a NaN
-    coefficient row when its normal equations are singular or not finite,
-    when 30 halvings in one step do not help, or when it is still
-    unconverged after ``maxit`` steps.  Returns coef (E, p).
-    """
-    E, p = len(w), X.shape[1]
-    coef = np.full((E, p), np.nan)
-    cross = (X[:, :, None] * X[:, None, :]).reshape(len(X), p * p)
-    scale = np.maximum(1.0, np.sum(w * np.abs(y), axis=1))
-    mu = y + max(float(np.mean(y)), 1e-8) * 0.5 + 1e-12
-    mu, eta = np.broadcast_to(mu, w.shape), np.broadcast_to(np.log(mu), w.shape)
-    dev = _poisson_deviance(w, y, mu)
-    rows, beta = np.arange(E), np.zeros((E, p))
-    for it in range(maxit + 1):  # it: steps taken so far
-        score = (w * (y - mu)) @ X
-        if it:
-            done = np.max(np.abs(score), axis=1) < tol * scale
-            coef[rows[done]] = beta[done]
-            rows, w, mu, eta, dev, scale, beta, score = _rows(
-                ~done, rows, w, mu, eta, dev, scale, beta, score
-            )
-            if it == maxit or not len(rows):
-                break
-        var = np.maximum(mu, 1e-300)
-        ww = w * var
-        rhs = score if it else (ww * (eta + (y - mu) / var)) @ X
-        new = beta + _stacked_solve((ww @ cross).reshape(-1, p, p), rhs)
-        solved = np.isfinite(new).all(axis=1)
-        rows, w, dev, scale, beta, new = _rows(solved, rows, w, dev, scale, beta, new)
-        eta = new @ X.T
-        mu = np.exp(np.clip(eta, -700, 700))
-        dev_new = _poisson_deviance(w, y, mu)
-        if it:  # no reference point to halve toward on step 1
-            worse = ~(dev_new <= dev + 1e-10 * (np.abs(dev) + 1.0))
-            for _ in range(30):
-                if not worse.any():
-                    break
-                at = np.flatnonzero(worse)
-                new[at] = 0.5 * (new[at] + beta[at])
-                eta[at] = new[at] @ X.T
-                mu[at] = np.exp(np.clip(eta[at], -700, 700))
-                dev_new[at] = _poisson_deviance(w[at], y, mu[at])
-                worse[at] = ~(dev_new[at] <= dev[at] + 1e-10 * (np.abs(dev[at]) + 1.0))
-            rows, w, mu, eta, dev_new, scale, new = _rows(  # drop exhausted halvings
-                ~worse, rows, w, mu, eta, dev_new, scale, new
-            )
-        beta, dev = new, dev_new
-    return coef
-
-
 def locstppm(
     pattern: PointPattern,
     trend="~1",
@@ -799,15 +799,13 @@ def locstppm(
     Silverman's rule per axis (the two spatial values averaged); where an
     axis does not vary that rule gives 0 and the bandwidth must be given.
 
-    The refits run as one lockstep IRLS over a block of events at a time
-    (the blocks of ``network._origin_blocks``, whose kernel rows are built
-    in the block, so no (n x quadrature) table exists).  Each event takes
-    ``fit_glm``'s steps, solved through stacked normal equations rather
-    than one least-squares factorisation, so where its local likelihood is
-    well determined its coefficients agree with a lone ``fit_glm`` refit
-    within 1e-9 relative, not bit for bit.  (Where the likelihood is nearly
-    flat, the score test can stop the two at different points of the flat
-    valley.)  Events whose kernel weights underflow to 0, whose step halving
+    The refits run ``fit_glm``'s IRLS, the module's one engine, over a
+    block of events at a time in lockstep (the blocks of
+    ``network._origin_blocks``, whose kernel rows are built in the block,
+    so no (n x quadrature) table exists).  Where the local likelihood is
+    well determined, the coefficients agree within 1e-9 relative with one
+    whole-vector least-squares refit per event, the reference the tests
+    keep.  Events whose kernel weights underflow to 0, whose step halving
     is exhausted, whose normal equations are singular or that do not
     converge in 50 steps get NaN coefficient rows, not an error; an
     aliased design gives NaN rows for every event.
@@ -846,7 +844,7 @@ def locstppm(
             d2t = (qt - pattern.t[rows, None]) ** 2
             w = quad.weights * np.exp(-d2s / (2.0 * h_space**2) - d2t / (2.0 * h_time**2))
             live = (w > 0).all(axis=1)  # rows whose kernel weights underflow stay NaN
-            coef[rows.start + np.flatnonzero(live)] = _local_irls(X, y, w[live], tol)
+            coef[rows.start + np.flatnonzero(live)] = _irls(X, y, w[live], tol)[0]
     converged = np.isfinite(coef).all(axis=1)
     row_of_event = np.empty(n, dtype=int)
     row_of_event[quad.data_index[quad.is_data]] = np.flatnonzero(quad.is_data)

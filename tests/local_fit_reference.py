@@ -2,7 +2,8 @@
 
 ``locstppm`` advances every event's kernel-weighted IRLS together, a
 block of events at a time.  This module keeps the plain rule it must
-reproduce: one ``fit_glm`` refit per event on the shared quadrature, with
+reproduce: one refit per event on the shared quadrature, by the
+whole-vector least-squares IRLS of ``glm_reference.fit_glm``, with
 weights multiplied by that event's Gaussian kernel row.  An event whose
 kernel weights underflow to 0, or whose refit raises ``FitError``, gets
 a NaN row.  ``per_event_fits`` takes what ``locstppm`` takes, with the
@@ -11,7 +12,9 @@ bandwidths given, and returns (coef, converged).
 
 import numpy as np
 
-from stpoint import FitError, build_design, fit_glm, make_quadrature, parse_formula
+from stpoint import FitError, build_design, make_quadrature, parse_formula
+
+from glm_reference import fit_glm
 
 
 def per_event_fits(pattern, trend, h_space, h_time, covs=None, nd=None, seed=0, tol=1e-10):

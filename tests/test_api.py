@@ -6,7 +6,9 @@ public name must be a deliberate change to this file, not a side effect of
 a refactor.  Adding a name also needs an entry here.
 """
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -212,3 +214,31 @@ def test_public_names_are_pinned_and_resolve(module):
     assert sorted(mod.__all__) == sorted(PUBLIC[module])
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.{name} does not resolve"
+
+
+def test_fit_glm_contract_is_pinned():
+    # fit_glm is a public wrapper over the internal IRLS engine: the engine
+    # may change, this signature and the fields of GlmResult may not
+    P = inspect.Parameter
+    sig = inspect.signature(stpoint.fit_glm)
+    assert [(p.name, p.kind, p.default, p.annotation) for p in sig.parameters.values()] == [
+        ("X", P.POSITIONAL_OR_KEYWORD, P.empty, "np.ndarray"),
+        ("y", P.POSITIONAL_OR_KEYWORD, P.empty, "np.ndarray"),
+        ("weights", P.POSITIONAL_OR_KEYWORD, P.empty, "np.ndarray"),
+        ("names", P.POSITIONAL_OR_KEYWORD, None, P.empty),
+        ("offset", P.POSITIONAL_OR_KEYWORD, None, P.empty),
+        ("family", P.POSITIONAL_OR_KEYWORD, "poisson", "str"),
+        ("tol", P.POSITIONAL_OR_KEYWORD, 1e-8, "float"),
+        ("maxit", P.POSITIONAL_OR_KEYWORD, 50, "int"),
+    ]
+    assert sig.return_annotation == "GlmResult"
+    fields = dataclasses.fields(stpoint.GlmResult)
+    assert [(f.name, f.type) for f in fields] == [
+        ("names", "Tuple[str, ...]"),
+        ("coef", "np.ndarray"),
+        ("converged", "bool"),
+        ("n_iter", "int"),
+        ("deviance", "float"),
+        ("score_norm", "float"),
+    ]
+    assert stpoint.GlmResult.__dataclass_params__.frozen

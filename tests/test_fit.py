@@ -227,6 +227,35 @@ def test_glm_input_validation():
         fit_glm(X, np.array([0.0, 2.0, 0.5, 1.0]), np.ones(4), family="binomial")
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("X", np.array([[1.0, 0.0], [1.0, np.nan], [1.0, 2.0], [1.0, 3.0]])),
+        ("X", np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 2.0], [1.0, 3.0]])),
+        ("y", np.array([1.0, np.nan, 2.0, 1.0])),
+        ("y", np.array([1.0, -1.0, 2.0, 1.0])),  # a negative Poisson count
+        ("y", np.ones(5)),
+        ("weights", np.array([1.0, np.nan, 1.0, 1.0])),
+        ("weights", np.array([1.0, np.inf, 1.0, 1.0])),
+        ("weights", np.ones(3)),
+        ("offset", np.array([0.0, np.nan, 0.0, 0.0])),
+        ("offset", np.zeros(5)),
+    ],
+)
+def test_glm_refuses_nonfinite_and_mismatched_input(name, value):
+    # such input once reached LAPACK (NaN: "SVD did not converge") or the
+    # rank scan (an inf weight: every column reported aliased)
+    args = {
+        "X": np.column_stack([np.ones(4), np.arange(4.0)]),
+        "y": np.array([0.0, 1.0, 2.0, 1.0]),
+        "weights": np.ones(4),
+        "offset": np.zeros(4),
+    }
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} "):
+        fit_glm(**args)
+
+
 # ---------------------------------------------------------------------------
 # global Poisson models
 
@@ -517,10 +546,13 @@ def test_local_fit_validation(poisson100):
 
 
 def test_local_fits_equal_refits_on_dense_kernel_rows():
+    from glm_reference import fit_glm
+
     # the oracle builds every event's kernel weights as one (n x quadrature)
     # table, as locstppm once did; each local fit must equal a lone refit
-    # on its row of that table, within 1e-9 relative: the lockstep IRLS
-    # solves stacked normal equations, not one least-squares problem
+    # on its row of that table, within 1e-9 relative: the reference solves
+    # one least-squares problem per step, the lockstep IRLS stacked normal
+    # equations
     spec = IntensitySpec.loglinear("~x", [3.0, 2.0])
     pat = sim_poisson(spec, window=UNIT_W, interval=UNIT_T, seed=9)
     h_space, h_time = 0.3, 0.25
@@ -538,6 +570,28 @@ def test_local_fits_equal_refits_on_dense_kernel_rows():
     for i in range(pat.n):
         res = fit_glm(X, y, quad.weights * kernels[i], tol=1e-10)
         assert np.all(np.abs(lf.coef[i] - res.coef) <= 1e-9 * np.maximum(1.0, np.abs(res.coef)))
+
+
+def test_fit_glm_converges_where_whole_vector_steps_were_lost():
+    # event 49 (x = 0.98) at h = 0.05: the kernel-weighted mu spans hundreds
+    # of orders of magnitude, and a whole-vector least-squares step lost
+    # itself to rounding there (step halving exhausted); the Newton
+    # increments that fit_glm and locstppm share converge at about
+    # (-684.2, 703.8), on a flat ridge of the local likelihood
+    pat = sim_poisson(100.0, window=UNIT_W, interval=UNIT_T, seed=2)
+    h = 0.05
+    lf = locstppm(pat, "~x", h_space=h, h_time=h)
+    quad = make_quadrature(pat, seed=0)
+    X = build_design(parse_formula("~x"), quad.coords, quad.marks).matrix
+    qx, qy, qt = quad.coords.T
+    i = 49
+    d2s = (qx - pat.x[i]) ** 2 + (qy - pat.y[i]) ** 2
+    w = quad.weights * np.exp(-d2s / (2.0 * h**2) - (qt - pat.t[i]) ** 2 / (2.0 * h**2))
+    res = fit_glm(X, quad.is_data / quad.weights, w, tol=1e-10)
+    assert lf.converged[i]
+    want = lf.coef[i]
+    assert np.all(np.abs(res.coef - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+    assert res.coef == pytest.approx([-684.2, 703.8], abs=0.05)
 
 
 def test_local_fit_memory_fence():
