@@ -461,14 +461,16 @@ def fit_glm(
     predictor runs past 30 (possible complete separation), and
     ``FitError`` when the normal equations are singular or ``maxit`` steps
     do not converge.  X, y, weights and offset must be finite, one entry
-    per row of X; a scalar offset applies to every row.
+    per row of X; a scalar offset applies to every row.  names, if given,
+    has one entry per column of X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
     m, p = X.shape
-    if names is None:
-        names = tuple(f"b{j}" for j in range(p))
+    names = tuple(f"b{j}" for j in range(p)) if names is None else tuple(names)
+    if len(names) != p:
+        raise ValueError(f"names must have one entry per column of X ({p}), got {len(names)}")
     offset = np.asarray(0.0 if offset is None else offset, dtype=float)
     if offset.ndim == 0:  # a scalar offset applies to every row
         offset = np.full(m, offset)
@@ -497,7 +499,7 @@ def fit_glm(
     if reason[0] != "converged":
         error, message = _FAILURES[reason[0]]
         raise error(message.format(maxit=maxit))
-    return GlmResult(tuple(names), coef[0], True, int(n_iter[0]), float(dev[0]), float(score[0]))
+    return GlmResult(names, coef[0], True, int(n_iter[0]), float(dev[0]), float(score[0]))
 
 
 # ---------------------------------------------------------------------------

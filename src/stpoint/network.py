@@ -112,6 +112,26 @@ class LinearNetwork:
         return indptr, np.concatenate([s[:, 1], s[:, 0]])[order], np.tile(self.lengths, 2)[order]
 
     @cached_property
+    def _components(self) -> np.ndarray:
+        """Connected-component label of each segment: the least vertex index.
+
+        Each vertex label drops to the least label across its segments, then
+        to its label's label, until no label changes.  Two points are at a
+        finite network distance exactly when their segments share a label.
+        """
+        s = self.segments
+        label = np.arange(len(self.vertices))
+        while True:
+            new = label.copy()
+            low = np.minimum(label[s[:, 0]], label[s[:, 1]])
+            np.minimum.at(new, s[:, 0], low)
+            np.minimum.at(new, s[:, 1], low)
+            new = new[new]
+            if np.array_equal(new, label):
+                return label[s[:, 0]]
+            label = new
+
+    @cached_property
     def adjacency(self) -> list:
         """adjacency[v] = list of (neighbor vertex, edge length)."""
         adj = [[] for _ in range(len(self.vertices))]

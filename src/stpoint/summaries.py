@@ -14,17 +14,22 @@ Pair (i, j) contributions, ordered pairs i != j:
     network K:  1/(lam_i lam_j m(u_i, d_ij) m_T(t_i, |dt_ij|))
 
 Pairs beyond the lag reach are never built.  The reach is the largest
-lag any grid node can see: r_max and h_max for K, r_max + b_r and
-h_max + b_h for g.  ``_pairs`` lists the pairs within it as flat row-major
-arrays, one row block of ``network._origin_blocks`` at a time (planar
-partners from the block's time slice, network ones from the pair tables of
-``network._pair_geometry``, whose equidistant counts are evaluated for
-them only).  ``_lag_sums`` folds their weights into every surface in steps
-of the same cell budget, with the sums of one sequential ``bincount`` keyed
-by lag node or by (origin, lag node).  Network pairs with no weight are
-skipped and counted in ``skipped_pairs``: unreachable pairs (different
-connected components), pairs whose temporal count is zero, and pairs
-within the lag reach whose equidistant count is zero.
+lag any grid node can see, in distance and in time: r_max and h_max for
+K, r_max + b_r and h_max + b_h for g.  ``_pairs`` lists the pairs within
+it as flat row-major arrays, one row block of ``network._origin_blocks``
+at a time.  A block tries only its time slice of partners, those within
+the time reach of its origins (planar and network alike); network
+distances and equidistant counts come from ``network._pair_geometry`` for
+the slice only, the counts for the pairs within the distance reach.
+``_lag_sums`` folds their weights into every surface in steps of the same
+cell budget, with the sums of one sequential ``bincount`` keyed by lag
+node or by (origin, lag node).  Network pairs with no weight are skipped
+and counted in ``skipped_pairs``: unreachable pairs (different connected
+components), pairs whose temporal count is zero, and pairs within the lag
+reach whose equidistant count is zero.  Beyond the time slice only the
+first two kinds exist; they are counted from component labels and from
+the partner times next to the ends of the interval, with no distances
+built.
 """
 
 from __future__ import annotations
@@ -110,8 +115,10 @@ class SummarySurface:
 
     ``skipped_pairs`` counts the ordered network pairs left out for want of
     weight: unreachable pairs, plus pairs with a zero temporal count or,
-    within the lag reach, a zero equidistant count.  It is 0 for planar
-    patterns.
+    within the lag reach in distance and time, a zero equidistant count.
+    Pairs beyond the time reach count when their events lie in different
+    connected components or their temporal count is zero; no distance or
+    equidistant count is computed for them.  It is 0 for planar patterns.
     """
 
     rs: np.ndarray
@@ -169,17 +176,25 @@ def _canonical_order(pattern, lam=None) -> np.ndarray:
     return np.lexsort((*keys, pattern.y, pattern.x, pattern.t))
 
 
-def _planar_block(X, Z, rows, zo, rmax, hmax, correction):
-    """Planar pairs (i, j, d, dt, corr), i in rows, with d <= rmax, dt <= hmax.
+def _time_slice(X, rows, tz, hmax):
+    """Bounds lo:hi of the block's time slice in the sorted partner times tz.
 
-    The partners tried are the slice of time-sorted zo within hmax (plus a
-    rounding margin) of the block's times, in row order, so the pairs come
-    out row-major; corr is the translation proportion, or 1.
+    The slice reaches hmax plus a rounding margin beyond the earliest and
+    latest times of the origins in rows, so every partner whose float lag
+    to one of them is at most hmax lies inside.
     """
-    t, tz = X.t[rows], Z.t[zo]
+    t = X.t[rows]
     pad = hmax + 4.0 * np.finfo(float).eps * (abs(tz).max() + abs(t).max() + hmax)
     lo = np.searchsorted(tz, t.min() - pad, side="left")
-    j = np.sort(zo[lo : np.searchsorted(tz, t.max() + pad, side="right")])
+    return lo, np.searchsorted(tz, t.max() + pad, side="right")
+
+
+def _planar_block(X, Z, rows, j, rmax, hmax, correction):
+    """Planar pairs (i, j, d, dt, corr), i in rows, with d <= rmax, dt <= hmax.
+
+    The partners tried are the columns j, in row order, so the pairs come
+    out row-major; corr is the translation proportion, or 1.
+    """
     dx, dy, dt = (np.abs(a[rows, None] - b[j]) for a, b in ((X.x, Z.x), (X.y, Z.y), (X.t, Z.t)))
     d = np.hypot(dx, dy)
     r, c = np.nonzero((dt <= hmax) & (d <= rmax))
@@ -189,6 +204,50 @@ def _planar_block(X, Z, rows, zo, rmax, hmax, correction):
         corr = (X.window.width - dx) * (X.window.height - dy) * (X.interval.length - dt)
         corr = corr / (X.window.area * X.interval.length)
     return r + rows.start, j[c], d[r, c], dt, corr
+
+
+def _network_block(X, Z, rows, j, rmax, hmax):
+    """Network pairs (i, j, d, dt, corr), i in rows, and the block's dead pairs.
+
+    The partners tried are the columns j, in row order; corr is m(x_i, d)
+    m_T(t_i, |dt|), with m evaluated for d <= rmax only.  A pair is dead
+    when it is unreachable or its m or m_T is 0; the count covers the
+    columns j alone (``_dead_beyond`` counts the others).
+    """
+    origins = (X.net_seg[rows], X.net_off[rows])
+    dist, m_l = _pair_geometry(X.network, origins, (Z.net_seg[j], Z.net_off[j]), rmax)
+    dt = np.abs(X.t[rows, None] - Z.t[j])
+    m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
+    dead = (m_l == 0) | (m_t == 0)
+    r, c = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
+    corr = m_l[r, c] * m_t[r, c]
+    return r + rows.start, j[c], dist[r, c], dt[r, c], corr, int(dead.sum())
+
+
+def _dead_beyond(X, Z, rows, zo, lo, hi):
+    """Dead network pairs of the origins in rows with the partners outside zo[lo:hi].
+
+    Beyond the time slice no pair is within the lag reach, so no m is
+    needed: a pair there is dead when its segments lie in different
+    components, or when m_T = 0.  With both times in [t0, t1], m_T = 0 needs
+    t_i - |dt| < t0 with t_j <= t_i, or t_i + |dt| > t1 with t_j >= t_i.
+    Exactly, t_i - |dt| = t_j in the first case and t_i + |dt| = t_j in the
+    second; the two roundings move the result by less than 3.01 u S (u the
+    unit roundoff, S the largest |time|).  So only partners within that of
+    t0 or t1 can have m_T = 0, and m_T is evaluated for the partners within
+    8 u (S + |t0| + |t1|) of either end only.
+    """
+    label, k = X.network._components, len(X.network.vertices)
+    lx, lz = label[X.net_seg[rows]], label[Z.net_seg]
+    beyond = np.bincount(lz, minlength=k) - np.bincount(lz[zo[lo:hi]], minlength=k)
+    dead = int((beyond.sum() - beyond[lx]).sum())
+    tz, (t0, t1) = Z.t[zo], (X.interval.t0, X.interval.t1)
+    slop = 4.0 * np.finfo(float).eps * (max(abs(tz).max(), abs(X.t).max()) + abs(t0) + abs(t1))
+    a = min(np.searchsorted(tz, t0 + slop, side="right"), lo)
+    b = max(np.searchsorted(tz, t1 - slop, side="left"), hi)
+    j = zo[np.r_[0:a, b : len(zo)]]
+    m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[j]))
+    return dead + int(((m_t == 0) & (lx[:, None] == lz[j])).sum())
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
@@ -201,25 +260,23 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
     proportion (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
     1/(lam_i lam_j) given lam, else 1.  Dead pairs, whose correction
     vanishes, are left out; ``skipped`` counts the dead network pairs.
-    Origins go in the row blocks of ``network._origin_blocks``, and the
+    Origins go in the row blocks of ``network._origin_blocks``; each block
+    tries only its time slice of partners (``_time_slice``), and the
     columns of the blocks' pairs are joined one at a time.
     """
     rmax, hmax, skipped, blocks = cfg.rs[-1], cfg.hs[-1], 0, []
     if cfg.statistic == "g":  # the kernels reach one bandwidth further
         rmax, hmax = rmax + cfg.br, hmax + cfg.bh
-    zo = np.argsort(Z.t, kind="stable") if X.network is None else None
+    zo = np.argsort(Z.t, kind="stable")
+    tz = Z.t[zo]
     for rows in _origin_blocks(X.network, X.n, Z.n):
+        lo, hi = _time_slice(X, rows, tz, hmax)
+        j = np.sort(zo[lo:hi])
         if X.network is None:
-            i, j, d, dt, corr = _planar_block(X, Z, rows, zo, rmax, hmax, cfg.correction)
+            i, j, d, dt, corr = _planar_block(X, Z, rows, j, rmax, hmax, cfg.correction)
         else:
-            origins = (X.net_seg[rows], X.net_off[rows])
-            dist, m_l = _pair_geometry(X.network, origins, (Z.net_seg, Z.net_off), rmax)
-            dt = np.abs(X.t[rows, None] - Z.t[None, :])
-            m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
-            dead = (m_l == 0) | (m_t == 0)
-            skipped += int(dead.sum())
-            r, j = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
-            i, d, dt, corr = r + rows.start, dist[r, j], dt[r, j], m_l[r, j] * m_t[r, j]
+            i, j, d, dt, corr, dead = _network_block(X, Z, rows, j, rmax, hmax)
+            skipped += dead + _dead_beyond(X, Z, rows, zo, lo, hi)
         # planar pairs spanning the full window extent carry zero correction
         keep = (corr > 0) & ((i != j) | (Z is not X))
         i, j = i[keep], j[keep]

@@ -256,6 +256,17 @@ def test_glm_refuses_nonfinite_and_mismatched_input(name, value):
         fit_glm(**args)
 
 
+@pytest.mark.parametrize("names", [("a",), ("a", "b", "c"), ()])
+def test_glm_refuses_names_of_the_wrong_length(names):
+    # ("a",) for two columns once gave a result with one name and two
+    # coefficients
+    X = np.column_stack([np.ones(4), np.arange(4.0)])
+    y = np.array([0.0, 1.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^names must have one entry per column of X \(2\)"):
+        fit_glm(X, y, np.ones(4), names=names)
+    assert fit_glm(X, y, np.ones(4), names=("a", "b")).names == ("a", "b")
+
+
 # ---------------------------------------------------------------------------
 # global Poisson models
 

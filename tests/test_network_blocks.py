@@ -10,6 +10,7 @@ at segment ends, midpoints and quarter points, where distances tie.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stpoint import (
     TimeInterval,
     equidistant_count,
     equidistant_counts,
+    localtest,
     network_distance,
     pairwise_network_distances,
     point_vertex_distances,
@@ -33,7 +35,7 @@ from stpoint import (
     second_order_local,
     sim_poisson,
 )
-from stpoint import network, summaries
+from stpoint import diagnostics, network, summaries
 from stpoint.network import VERTEX_TOL, _pair_geometry, _row_searchsorted, _vertex_distances
 
 from network_reference import dense_pairs, dijkstra, per_origin_pair_geometry
@@ -382,3 +384,114 @@ def test_network_pair_table_memory_fence():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# Each block tries only its time slice of partners.  Small lag reaches in
+# time and small blocks put most partners outside the slice; events at t0
+# and t1 (where rounding can make the temporal count 0), tied times and
+# times on a grid of step hmax test the slice bounds and the dead-pair
+# count beyond them.
+TWO_COMPONENTS = LinearNetwork(
+    np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [2.0, 5.0]]), np.array([[0, 1], [2, 3]])
+)
+SLICE_NETWORKS = {
+    "lattice3": join(lattice(3, [(0, 0)])),
+    "cycle4": cycle(4),
+    "two_components": TWO_COMPONENTS,
+    "two_lattices": FIXED["two_lattices"],
+}
+INTERVALS = [(0.0, 1.0), (0.1, 0.9), (0.3, 1.7), (-2.5, 0.7)]
+
+
+def timed_pattern(net, seg, off, t, interval):
+    v = net.vertices
+    win = SpatialWindow(v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
+    coords = np.column_stack([net.segment_point(seg, off), t])
+    return PointPattern(coords, win, interval, {}, net, seg, off)
+
+
+@st.composite
+def sliced_cases(draw):
+    """(X, Z, config, cells): two patterns on one network and interval."""
+    net = SLICE_NETWORKS[draw(st.sampled_from(sorted(SLICE_NETWORKS)))]
+    t0, t1 = draw(st.sampled_from(INTERVALS))
+    hmax = draw(st.sampled_from([0.05, 0.1, 0.2])) * (t1 - t0)
+    nodes = draw(st.integers(1, 3))
+    rs = draw(st.sampled_from([None, np.array([0.25, 0.5, 1.0])]))
+    cfg = SummaryConfig(rs=rs, hs=hmax * np.arange(1, nodes + 1) / nodes)
+    steps = int((t1 - t0) / hmax)
+    when = st.one_of(
+        st.sampled_from([t0, t1]),
+        st.integers(0, steps).map(lambda m: min(t0 + m * hmax, t1)),
+        st.floats(t0, t1),
+    )
+    patterns = []
+    for lo, hi in ((2, 14), (2, 10)):
+        seg, off = draw(points(net, lo, hi))
+        t = draw(st.lists(when, min_size=len(seg), max_size=len(seg)))
+        patterns.append(timed_pattern(net, seg, off, np.array(t), TimeInterval(t0, t1)))
+    return (*patterns, cfg, draw(st.sampled_from([1, 40, network._CELLS])))
+
+
+def reference_run(module, call):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_pairs", dense_pairs)
+        return call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sliced_cases(), st.sampled_from(["K", "g"]))
+def test_time_sliced_pairs_match_dense_reference(case, statistic):
+    X, Z, cfg, cells = case
+    cfg = replace(cfg, statistic=statistic)
+    lam = np.random.default_rng(X.n).uniform(0.5, 2.0, X.n)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(network, "_CELLS", cells)
+        glob = second_order_global(X, lam, cfg)
+        loc = second_order_local(X, lam, cfg)
+        pvalues = localtest(X, Z, statistic, k=19, config=cfg, seed=3).pvalues
+    want_glob = reference_run(summaries, lambda: second_order_global(X, lam, cfg))
+    want_loc = reference_run(summaries, lambda: second_order_local(X, lam, cfg))
+    want_p = reference_run(diagnostics, lambda: localtest(X, Z, statistic, k=19, config=cfg, seed=3))
+    assert same_bits(glob.est, want_glob.est)
+    assert glob.skipped_pairs == want_glob.skipped_pairs == loc.skipped_pairs
+    got_loc = np.array([s.est for s in loc.surfaces])
+    assert same_bits(got_loc, np.array([s.est for s in want_loc.surfaces]))
+    assert same_bits(pvalues, want_p.pvalues)
+
+
+def test_dead_pairs_beyond_the_time_slice_are_counted(monkeypatch):
+    # one-origin blocks and a reach of 0.04 in time: every pair lies
+    # outside its origin's slice.  Four pairs join the two components; from
+    # t1 = 0.9 the lag to t0 = 0.1 rounds to 0.8, and 0.9 - 0.8 < 0.1 while
+    # 0.9 + 0.8 > 0.9, so that pair has temporal count 0 as well
+    pat = timed_pattern(
+        TWO_COMPONENTS, np.array([0, 0, 1]), np.array([0.5, 1.5, 1.0]),
+        np.array([0.9, 0.1, 0.5]), TimeInterval(0.1, 0.9),
+    )
+    cfg = SummaryConfig(rs=np.array([0.5, 1.0]), hs=np.array([0.02, 0.04]))
+    monkeypatch.setattr(network, "_CELLS", 1)
+    got = second_order_global(pat, 1.0, cfg)
+    want = reference_run(summaries, lambda: second_order_global(pat, 1.0, cfg))
+    assert got.skipped_pairs == want.skipped_pairs == 5
+    assert same_bits(got.est, want.est)
+
+
+def test_network_blocks_try_their_time_slice_only(monkeypatch):
+    # the pattern of test_network_pair_table_memory_fence: with the default
+    # lag grids a block's slice holds about half of the partners, where the
+    # whole (block x n) table held all of them
+    verts, segs = lattice(11, spacing=0.1)
+    net = join((verts, segs))
+    pat = sim_poisson(IntensitySpec.constant(2500.0 / net.total_length), network=net, seed=0)
+    cells = []
+
+    def counting(net, origins, partners, reach=-np.inf):
+        cells.append(len(origins[0]) * len(partners[0]))
+        return _pair_geometry(net, origins, partners, reach)
+
+    monkeypatch.setattr(summaries, "_pair_geometry", counting)
+    for statistic in ("K", "g"):
+        cells.clear()
+        second_order_global(pat, pat.n / net.total_length, SummaryConfig(statistic=statistic))
+        assert 0 < sum(cells) < 0.65 * pat.n**2
