@@ -224,30 +224,38 @@ def _network_block(X, Z, rows, j, rmax, hmax):
     return r + rows.start, j[c], dist[r, c], dt[r, c], corr, int(dead.sum())
 
 
-def _dead_beyond(X, Z, rows, zo, lo, hi):
-    """Dead network pairs of the origins in rows with the partners outside zo[lo:hi].
+def _dead_beyond(X, Z, zo, tz):
+    """Counter of the dead network pairs of a block beyond its time slice.
 
-    Beyond the time slice no pair is within the lag reach, so no m is
-    needed: a pair there is dead when its segments lie in different
-    components, or when m_T = 0.  With both times in [t0, t1], m_T = 0 needs
-    t_i - |dt| < t0 with t_j <= t_i, or t_i + |dt| > t1 with t_j >= t_i.
-    Exactly, t_i - |dt| = t_j in the first case and t_i + |dt| = t_j in the
-    second; the two roundings move the result by less than 3.01 u S (u the
-    unit roundoff, S the largest |time|).  So only partners within that of
-    t0 or t1 can have m_T = 0, and m_T is evaluated for the partners within
+    Returns count(rows, lo, hi), the number of dead pairs of the origins in
+    rows with the partners outside zo[lo:hi]; tz = Z.t[zo].  Beyond the
+    time slice no pair is within the lag reach, so no m is needed: a pair
+    there is dead when its segments lie in different components, or when
+    m_T = 0.  With both times in [t0, t1], m_T = 0 needs t_i - |dt| < t0
+    with t_j <= t_i, or t_i + |dt| > t1 with t_j >= t_i.  Exactly,
+    t_i - |dt| = t_j in the first case and t_i + |dt| = t_j in the second;
+    the two roundings move the result by less than 3.01 u S (u the unit
+    roundoff, S the largest |time|).  So only partners within that of t0 or
+    t1 can have m_T = 0, and m_T is evaluated for the partners within
     8 u (S + |t0| + |t1|) of either end only.
     """
     label, k = X.network._components, len(X.network.vertices)
-    lx, lz = label[X.net_seg[rows]], label[Z.net_seg]
-    beyond = np.bincount(lz, minlength=k) - np.bincount(lz[zo[lo:hi]], minlength=k)
-    dead = int((beyond.sum() - beyond[lx]).sum())
-    tz, (t0, t1) = Z.t[zo], (X.interval.t0, X.interval.t1)
+    lz = label[Z.net_seg]
+    total = np.bincount(lz, minlength=k)
+    t0, t1 = X.interval.t0, X.interval.t1
     slop = 4.0 * np.finfo(float).eps * (max(abs(tz).max(), abs(X.t).max()) + abs(t0) + abs(t1))
-    a = min(np.searchsorted(tz, t0 + slop, side="right"), lo)
-    b = max(np.searchsorted(tz, t1 - slop, side="left"), hi)
-    j = zo[np.r_[0:a, b : len(zo)]]
-    m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[j]))
-    return dead + int(((m_t == 0) & (lx[:, None] == lz[j])).sum())
+    a = np.searchsorted(tz, t0 + slop, side="right")
+    b = np.searchsorted(tz, t1 - slop, side="left")
+
+    def count(rows, lo, hi):
+        lx = label[X.net_seg[rows]]
+        beyond = total - np.bincount(lz[zo[lo:hi]], minlength=k)
+        dead = int((beyond.sum() - beyond[lx]).sum())
+        j = zo[np.r_[0 : min(a, lo), max(b, hi) : len(zo)]]
+        m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[j]))
+        return dead + int(((m_t == 0) & (lx[:, None] == lz[j])).sum())
+
+    return count
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
@@ -269,6 +277,8 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
         rmax, hmax = rmax + cfg.br, hmax + cfg.bh
     zo = np.argsort(Z.t, kind="stable")
     tz = Z.t[zo]
+    if X.network is not None:
+        dead_beyond = _dead_beyond(X, Z, zo, tz)
     for rows in _origin_blocks(X.network, X.n, Z.n):
         lo, hi = _time_slice(X, rows, tz, hmax)
         j = np.sort(zo[lo:hi])
@@ -276,7 +286,7 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
             i, j, d, dt, corr = _planar_block(X, Z, rows, j, rmax, hmax, cfg.correction)
         else:
             i, j, d, dt, corr, dead = _network_block(X, Z, rows, j, rmax, hmax)
-            skipped += dead + _dead_beyond(X, Z, rows, zo, lo, hi)
+            skipped += dead + dead_beyond(rows, lo, hi)
         # planar pairs spanning the full window extent carry zero correction
         keep = (corr > 0) & ((i != j) | (Z is not X))
         i, j = i[keep], j[keep]

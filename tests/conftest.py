@@ -1,14 +1,7 @@
-"""Shared fixtures: small networks and simulated patterns reused across tests.
-
-Set HYPOTHESIS_PROFILE=ci to load the ``ci`` hypothesis profile: a failing
-property example then prints a blob that ``@reproduce_failure`` replays.
-"""
-
-import os
+"""Shared fixtures: small networks and simulated patterns reused across tests."""
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from stpoint import (
     IntensitySpec,
@@ -17,10 +10,6 @@ from stpoint import (
     TimeInterval,
     sim_poisson,
 )
-
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("HYPOTHESIS_PROFILE"):
-    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(scope="session")
