@@ -460,13 +460,15 @@ def fit_glm(
     ``DivergenceError`` when 30 halvings do not improve a step or a logit
     predictor runs past 30 (possible complete separation), and
     ``FitError`` when the normal equations are singular or ``maxit`` steps
-    do not converge.  X, y, weights and offset must be finite, one entry
-    per row of X; a scalar offset applies to every row.  names, if given,
-    has one entry per column of X.
+    do not converge.  X must be 2-d.  X, y, weights and offset must be
+    finite, one entry per row of X; a scalar offset applies to every
+    row.  names, if given, has one entry per column of X.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d design matrix, got {X.ndim} dimension(s)")
     m, p = X.shape
     names = tuple(f"b{j}" for j in range(p)) if names is None else tuple(names)
     if len(names) != p:

@@ -18,7 +18,10 @@ lag any grid node can see, in distance and in time: r_max and h_max for
 K, r_max + b_r and h_max + b_h for g.  ``_pairs`` lists the pairs within
 it as flat row-major arrays, one row block of ``network._origin_blocks``
 at a time.  A block tries only its time slice of partners, those within
-the time reach of its origins (planar and network alike); network
+the time reach of its origins (planar and network alike).  A planar block
+keeps the pairs inside the lag box |dx|, |dy| <= r_max, dt <= h_max first
+and takes distances for those only: a faithfully rounded hypot is never
+below max(|dx|, |dy|), so no pair within the reach is lost.  Network
 distances and equidistant counts come from ``network._pair_geometry`` for
 the slice only, the counts for the pairs within the distance reach.
 ``_lag_sums`` folds their weights into every surface in steps of the same
@@ -193,17 +196,23 @@ def _planar_block(X, Z, rows, j, rmax, hmax, correction):
     """Planar pairs (i, j, d, dt, corr), i in rows, with d <= rmax, dt <= hmax.
 
     The partners tried are the columns j, in row order, so the pairs come
-    out row-major; corr is the translation proportion, or 1.
+    out row-major; corr is the translation proportion, or 1.  The box
+    dx, dy <= rmax, dt <= hmax is tested first, and d = hypot(dx, dy) is
+    taken for the pairs inside it only.  No pair with d <= rmax is lost: a
+    faithfully rounded hypot is never below max(dx, dy).
     """
     dx, dy, dt = (np.abs(a[rows, None] - b[j]) for a, b in ((X.x, Z.x), (X.y, Z.y), (X.t, Z.t)))
-    d = np.hypot(dx, dy)
-    r, c = np.nonzero((dt <= hmax) & (d <= rmax))
-    dx, dy, dt = dx[r, c], dy[r, c], dt[r, c]
+    box = np.flatnonzero((dt <= hmax) & (dx <= rmax) & (dy <= rmax))
+    d = np.hypot(dx.take(box), dy.take(box))
+    near = d <= rmax
+    flat, d = box[near], d[near]
+    dx, dy, dt = dx.take(flat), dy.take(flat), dt.take(flat)
+    r, c = np.divmod(flat, len(j))
     corr = np.ones(len(r))
     if correction == "translation":
         corr = (X.window.width - dx) * (X.window.height - dy) * (X.interval.length - dt)
         corr = corr / (X.window.area * X.interval.length)
-    return r + rows.start, j[c], d[r, c], dt, corr
+    return r + rows.start, j[c], d, dt, corr
 
 
 def _network_block(X, Z, rows, j, rmax, hmax):

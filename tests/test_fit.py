@@ -267,6 +267,14 @@ def test_glm_refuses_names_of_the_wrong_length(names):
     assert fit_glm(X, y, np.ones(4), names=("a", "b")).names == ("a", "b")
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 2, 1), ()])
+def test_glm_refuses_a_design_that_is_not_2d(shape):
+    # a 1-d X once failed with "not enough values to unpack", naming nothing
+    y = np.array([0.0, 1.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match=r"^X must be a 2-d design matrix, got \d dimension"):
+        fit_glm(np.ones(shape), y, np.ones(4))
+
+
 # ---------------------------------------------------------------------------
 # global Poisson models
 
