@@ -602,9 +602,10 @@ def _cmd_test_local(args):
 # parser
 
 
-def _add_out(p):
+def _add_out(p, svg=True):
     p.add_argument("-o", "--out", required=True, help="output directory")
-    p.add_argument("--emit-svg", action="store_true", help="also write SVG plots")
+    if svg:
+        p.add_argument("--emit-svg", action="store_true", help="also write SVG plots")
     p.add_argument(
         "--threads",
         type=int,
@@ -625,11 +626,12 @@ def _add_pattern(p):
     _add_domain(p)
 
 
-def _add_lags(p):
+def _add_lags(p, bandwidths=True):
     p.add_argument("--rs", help="comma-separated spatial lags")
     p.add_argument("--hs", help="comma-separated temporal lags")
-    p.add_argument("--br", type=float, help="spatial pcf bandwidth")
-    p.add_argument("--bh", type=float, help="temporal pcf bandwidth")
+    if bandwidths:
+        p.add_argument("--br", type=float, help="spatial pcf bandwidth")
+        p.add_argument("--bh", type=float, help="temporal pcf bandwidth")
     p.add_argument(
         "--correction", choices=["translation", "none"], default="translation"
     )
@@ -714,7 +716,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--method", choices=["glm", "lsr"], default="glm")
     fp.add_argument("--nd", help="dummy grid: k or nx,ny,nt")
     fp.add_argument("--seed", type=int, required=True)
-    _add_out(fp)
+    _add_out(fp, svg=False)
     fp.set_defaults(func=_cmd_fit_poisson)
 
     fs = fit_sub.add_parser("separable", help="separable space/time intensity")
@@ -725,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--nd", help="k: k x k spatial cells (k arc cells on a network) and k time cells"
     )
     fs.add_argument("--seed", type=int, required=True)
-    _add_out(fs)
+    _add_out(fs, svg=False)
     fs.set_defaults(func=_cmd_fit_separable)
 
     fl = fit_sub.add_parser("local-poisson", help="kernel-weighted local fits")
@@ -736,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--h-time", type=float, help="temporal bandwidth")
     fl.add_argument("--nd", help="dummy grid: k or nx,ny,nt")
     fl.add_argument("--seed", type=int, required=True)
-    _add_out(fl)
+    _add_out(fl, svg=False)
     fl.set_defaults(func=_cmd_fit_local_poisson)
 
     fg = fit_sub.add_parser("lgcp", help="log-Gaussian Cox process")
@@ -753,7 +755,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_lags(fg)
     fg.add_argument("--nd", help="dummy grid: k or nx,ny,nt")
     fg.add_argument("--seed", type=int, required=True)
-    _add_out(fg)
+    _add_out(fg, svg=False)
     fg.set_defaults(func=_cmd_fit_lgcp)
 
     # diagnose
@@ -763,7 +765,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dg = diag_sub.add_parser("global", help="K-based global diagnostic")
     _add_pattern(dg)
     dg.add_argument("--intensity", required=True, help="per-event intensity CSV")
-    _add_lags(dg)
+    _add_lags(dg, bandwidths=False)
     _add_out(dg)
     dg.set_defaults(func=_cmd_diagnose_global)
 
@@ -771,7 +773,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pattern(dl)
     dl.add_argument("--intensity", required=True, help="per-event intensity CSV")
     dl.add_argument("--p", type=float, default=0.95, help="flagging quantile")
-    _add_lags(dl)
+    _add_lags(dl, bandwidths=False)
     _add_out(dl)
     dl.set_defaults(func=_cmd_diagnose_local)
 
@@ -788,7 +790,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tl.add_argument("--alpha", type=float, default=0.05)
     _add_lags(tl)
     tl.add_argument("--seed", type=int, required=True)
-    _add_out(tl)
+    _add_out(tl, svg=False)
     tl.set_defaults(func=_cmd_test_local)
 
     return parser

@@ -209,6 +209,8 @@ class PointPattern:
 
     def subset(self, idx) -> "PointPattern":
         idx = np.asarray(idx)
+        if idx.size == 0:  # np.asarray([]) is float, not an index
+            idx = idx.astype(np.intp)
         return PointPattern(
             self.coords[idx],
             self.window,

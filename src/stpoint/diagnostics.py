@@ -203,7 +203,7 @@ class GlobalDiagResult:
 def globaldiag(pattern: PointPattern, lam, config: Optional[SummaryConfig] = None) -> GlobalDiagResult:
     """Squared discrepancy between the weighted K surface and Poisson K."""
     cfg = replace(config or SummaryConfig(), statistic="K")
-    if pattern.n < 2:
+    if pattern.n == 0:
         rcfg = resolve_config(pattern, cfg)
         theo = _theoretical(pattern, rcfg)
         surface = SummarySurface(

@@ -112,26 +112,6 @@ class LinearNetwork:
         return indptr, np.concatenate([s[:, 1], s[:, 0]])[order], np.tile(self.lengths, 2)[order]
 
     @cached_property
-    def _components(self) -> np.ndarray:
-        """Connected-component label of each segment: the least vertex index.
-
-        Each vertex label drops to the least label across its segments, then
-        to its label's label, until no label changes.  Two points are at a
-        finite network distance exactly when their segments share a label.
-        """
-        s = self.segments
-        label = np.arange(len(self.vertices))
-        while True:
-            new = label.copy()
-            low = np.minimum(label[s[:, 0]], label[s[:, 1]])
-            np.minimum.at(new, s[:, 0], low)
-            np.minimum.at(new, s[:, 1], low)
-            new = new[new]
-            if np.array_equal(new, label):
-                return label[s[:, 0]]
-            label = new
-
-    @cached_property
     def adjacency(self) -> list:
         """adjacency[v] = list of (neighbor vertex, edge length)."""
         adj = [[] for _ in range(len(self.vertices))]
@@ -339,8 +319,9 @@ def _pair_geometry(network, origins, partners, reach=-np.inf):
     handled at once, so callers pass blocks from ``_origin_blocks``.
     m(origin, d) is evaluated only where d <= reach.  Unreachable partners
     get m = 0, partners beyond the reach m = 1, which no lag up to the
-    reach can see.  Returns (dist, m), both of shape (len(origins[0]),
-    len(partners[0])).
+    reach can see.  Returns (dist, m, dv): dist and m of shape
+    (len(origins[0]), len(partners[0])), and dv the origins' vertex
+    distances, of shape (len(origins[0]), V), +inf where unreachable.
     """
     seg_o = np.asarray(origins[0], dtype=np.int64)
     off_o = np.asarray(origins[1], dtype=float)
@@ -358,7 +339,7 @@ def _pair_geometry(network, origins, partners, reach=-np.inf):
     if row.size:
         m[row, col] = _block_counts(network, seg_o, off_o, dv, row, dist[row, col])
     m[unreachable] = 0
-    return dist, m
+    return dist, m, dv
 
 
 def _row_searchsorted(table, row, x, side):

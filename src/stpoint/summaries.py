@@ -30,9 +30,10 @@ node or by (origin, lag node).  Network pairs with no weight are skipped
 and counted in ``skipped_pairs``: unreachable pairs (different connected
 components), pairs whose temporal count is zero, and pairs within the lag
 reach whose equidistant count is zero.  Beyond the time slice only the
-first two kinds exist; they are counted from component labels and from
-the partner times next to the ends of the interval, with no distances
-built.
+first two kinds exist, and they are counted with no partner distances
+built: a partner is reachable exactly when its segment's start vertex is,
+which the block's vertex distances from ``_pair_geometry`` tell, and a
+zero temporal count needs a partner time next to an end of the interval.
 """
 
 from __future__ import annotations
@@ -220,51 +221,37 @@ def _network_block(X, Z, rows, j, rmax, hmax):
 
     The partners tried are the columns j, in row order; corr is m(x_i, d)
     m_T(t_i, |dt|), with m evaluated for d <= rmax only.  A pair is dead
-    when it is unreachable or its m or m_T is 0; the count covers the
-    columns j alone (``_dead_beyond`` counts the others).
+    when it is unreachable or its m or m_T is 0.  The count covers every
+    partner in Z, in three parts that do not overlap:
+
+    - unreachable pairs, from the block's vertex distances dv: a partner is
+      reachable exactly when its segment's start vertex is;
+    - reachable pairs with m_T = 0.  With both times in [t0, t1], m_T = 0
+      needs t_i - |dt| < t0 with t_j <= t_i, or t_i + |dt| > t1 with
+      t_j >= t_i.  Exactly, t_i - |dt| = t_j in the first case and
+      t_i + |dt| = t_j in the second; the two roundings move the result by
+      less than 3.01 u S (u the unit roundoff, S the largest |time|).  So
+      only partners within that of t0 or t1 can have m_T = 0, and m_T is
+      evaluated for the partners within 8 u (S + |t0| + |t1|) of either
+      end only;
+    - reachable pairs with m = 0 and m_T > 0, among the columns j.  Beyond
+      the time slice no pair is within the lag reach, so m is 1 there.
     """
-    origins = (X.net_seg[rows], X.net_off[rows])
-    dist, m_l = _pair_geometry(X.network, origins, (Z.net_seg[j], Z.net_off[j]), rmax)
+    net, origins = X.network, (X.net_seg[rows], X.net_off[rows])
+    dist, m_l, dv = _pair_geometry(net, origins, (Z.net_seg[j], Z.net_off[j]), rmax)
+    seen, start = np.isfinite(dv), net.segments[Z.net_seg, 0]
+    dead = len(dv) * Z.n - int((seen @ np.bincount(start, minlength=dv.shape[1])).sum())
+    t0, t1 = X.interval.t0, X.interval.t1
+    slop = 4.0 * np.finfo(float).eps * (max(abs(X.t).max(), abs(Z.t).max()) + abs(t0) + abs(t1))
+    ends = np.flatnonzero((Z.t <= t0 + slop) | (Z.t >= t1 - slop))
+    m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[ends]))
+    dead += int(((m_t == 0) & seen[:, start[ends]]).sum())
     dt = np.abs(X.t[rows, None] - Z.t[j])
     m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
-    dead = (m_l == 0) | (m_t == 0)
-    r, c = np.nonzero(~dead & (dist <= rmax) & (dt <= hmax))
+    dead += int(((m_l == 0) & (m_t > 0) & np.isfinite(dist)).sum())
+    r, c = np.nonzero((m_l > 0) & (m_t > 0) & (dist <= rmax) & (dt <= hmax))
     corr = m_l[r, c] * m_t[r, c]
-    return r + rows.start, j[c], dist[r, c], dt[r, c], corr, int(dead.sum())
-
-
-def _dead_beyond(X, Z, zo, tz):
-    """Counter of the dead network pairs of a block beyond its time slice.
-
-    Returns count(rows, lo, hi), the number of dead pairs of the origins in
-    rows with the partners outside zo[lo:hi]; tz = Z.t[zo].  Beyond the
-    time slice no pair is within the lag reach, so no m is needed: a pair
-    there is dead when its segments lie in different components, or when
-    m_T = 0.  With both times in [t0, t1], m_T = 0 needs t_i - |dt| < t0
-    with t_j <= t_i, or t_i + |dt| > t1 with t_j >= t_i.  Exactly,
-    t_i - |dt| = t_j in the first case and t_i + |dt| = t_j in the second;
-    the two roundings move the result by less than 3.01 u S (u the unit
-    roundoff, S the largest |time|).  So only partners within that of t0 or
-    t1 can have m_T = 0, and m_T is evaluated for the partners within
-    8 u (S + |t0| + |t1|) of either end only.
-    """
-    label, k = X.network._components, len(X.network.vertices)
-    lz = label[Z.net_seg]
-    total = np.bincount(lz, minlength=k)
-    t0, t1 = X.interval.t0, X.interval.t1
-    slop = 4.0 * np.finfo(float).eps * (max(abs(tz).max(), abs(X.t).max()) + abs(t0) + abs(t1))
-    a = np.searchsorted(tz, t0 + slop, side="right")
-    b = np.searchsorted(tz, t1 - slop, side="left")
-
-    def count(rows, lo, hi):
-        lx = label[X.net_seg[rows]]
-        beyond = total - np.bincount(lz[zo[lo:hi]], minlength=k)
-        dead = int((beyond.sum() - beyond[lx]).sum())
-        j = zo[np.r_[0 : min(a, lo), max(b, hi) : len(zo)]]
-        m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[j]))
-        return dead + int(((m_t == 0) & (lx[:, None] == lz[j])).sum())
-
-    return count
+    return r + rows.start, j[c], dist[r, c], dt[r, c], corr, dead
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
@@ -276,7 +263,8 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
     num over the edge correction with x_i as origin: the translation
     proportion (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
     1/(lam_i lam_j) given lam, else 1.  Dead pairs, whose correction
-    vanishes, are left out; ``skipped`` counts the dead network pairs.
+    vanishes, are left out; ``skipped`` counts the dead network pairs, with
+    every partner, each block counting its own (``_network_block``).
     Origins go in the row blocks of ``network._origin_blocks``; each block
     tries only its time slice of partners (``_time_slice``), and the
     columns of the blocks' pairs are joined one at a time.
@@ -286,8 +274,6 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
         rmax, hmax = rmax + cfg.br, hmax + cfg.bh
     zo = np.argsort(Z.t, kind="stable")
     tz = Z.t[zo]
-    if X.network is not None:
-        dead_beyond = _dead_beyond(X, Z, zo, tz)
     for rows in _origin_blocks(X.network, X.n, Z.n):
         lo, hi = _time_slice(X, rows, tz, hmax)
         j = np.sort(zo[lo:hi])
@@ -295,7 +281,7 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
             i, j, d, dt, corr = _planar_block(X, Z, rows, j, rmax, hmax, cfg.correction)
         else:
             i, j, d, dt, corr, dead = _network_block(X, Z, rows, j, rmax, hmax)
-            skipped += dead + dead_beyond(rows, lo, hi)
+            skipped += dead
         # planar pairs spanning the full window extent carry zero correction
         keep = (corr > 0) & ((i != j) | (Z is not X))
         i, j = i[keep], j[keep]

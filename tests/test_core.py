@@ -153,6 +153,15 @@ def test_subset_keeps_marks_and_domain():
     assert sub.marks["type"].labels.tolist() == ["A", "A"]
 
 
+def test_subset_of_no_rows_is_the_empty_pattern():
+    rows = [(0.1, 0.1, 0.1, "A"), (0.2, 0.2, 0.2, "B")]
+    pat = pattern_from_table(rows, names=["type"])
+    sub = pat.subset([])
+    assert sub.n == 0 and sub.coords.shape == (0, 3)
+    assert sub.window == pat.window and sub.interval == pat.interval
+    assert sub.marks["type"].labels.tolist() == []
+
+
 def test_table_shape_errors():
     with pytest.raises(ValueError):
         pattern_from_table([])

@@ -195,6 +195,13 @@ def test_globaldiag_single_event(unit_window, unit_interval):
     assert np.array_equal(res.diff, -res.surface.theo)
 
 
+@pytest.mark.parametrize("lam", [-1.0, [np.nan], [1.0, 2.0, 3.0]])
+def test_globaldiag_single_event_checks_lam(unit_window, unit_interval, lam):
+    pat = PointPattern(np.array([[0.5, 0.5, 0.5]]), unit_window, unit_interval)
+    with pytest.raises(ValueError):
+        globaldiag(pat, lam)
+
+
 def test_globaldiag_diff_and_str(poisson100):
     res = globaldiag(poisson100, float(poisson100.n / poisson100.volume))
     assert np.array_equal(res.diff, res.surface.est - res.surface.theo)

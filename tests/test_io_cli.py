@@ -28,7 +28,7 @@ from stpoint import (
     sim_poisson,
     stppm,
 )
-from stpoint.cli import main
+from stpoint.cli import _build_parser, main
 from stpoint.io import (
     fmt_float,
     grid_from_nodes,
@@ -319,6 +319,35 @@ def test_fit_poisson_names_and_equivalence(tmp_path, capsys):
     lib = stppm(pattern, trend="~ x", seed=2)
     assert model["coefficients"]["values"] == lib.coef.tolist()
     assert np.array_equal(read_intensity_csv(out / "intensity.csv"), lib.fitted)
+
+
+FIT = ["--pattern", "p.csv", "--seed", "1", "-o", "o"]
+DIAGNOSE = ["--pattern", "p.csv", "--intensity", "i.csv", "-o", "o"]
+INERT_FLAGS = [
+    *[(["fit", mode, *FIT], ["--emit-svg"])
+      for mode in ("poisson", "separable", "local-poisson", "lgcp")],
+    (["test", "local", "--background", "b.csv", "--alt", "a.csv", "--seed", "1", "-o", "o"],
+     ["--emit-svg"]),
+    *[(["diagnose", mode, *DIAGNOSE], flag)
+      for mode in ("global", "local") for flag in (["--br", "0.1"], ["--bh", "0.1"])],
+]
+
+
+@pytest.mark.parametrize("argv, flag", INERT_FLAGS)
+def test_commands_refuse_flags_they_would_ignore(argv, flag, capsys):
+    # without the flag the arguments parse; with it argparse exits 2
+    _build_parser().parse_args(argv)
+    assert main(argv + flag) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_fit_manifest_lists_no_svg_flag(tmp_path, capsys):
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    out = tmp_path / "fit"
+    assert main(["fit", "poisson", "--pattern", str(pat_csv), "--seed", "2",
+                 "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert "emit_svg" not in json.loads((out / "run.json").read_text())["flags"]
 
 
 def test_summary_equivalence(tmp_path, capsys):

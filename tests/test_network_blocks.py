@@ -450,6 +450,8 @@ def test_time_sliced_pairs_match_dense_reference(case, statistic):
         glob = second_order_global(X, lam, cfg)
         loc = second_order_local(X, lam, cfg)
         pvalues = localtest(X, Z, statistic, k=19, config=cfg, seed=3).pvalues
+        assert (summaries._pairs(X, Z, summaries.resolve_config(X, cfg))[5]
+                == dense_pairs(X, Z, summaries.resolve_config(X, cfg))[5])
     want_glob = reference_run(summaries, lambda: second_order_global(X, lam, cfg))
     want_loc = reference_run(summaries, lambda: second_order_local(X, lam, cfg))
     want_p = reference_run(diagnostics, lambda: localtest(X, Z, statistic, k=19, config=cfg, seed=3))

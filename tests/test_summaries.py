@@ -25,6 +25,7 @@ from stpoint import (
     second_order_global,
     second_order_local,
     sim_poisson,
+    temporal_multiplicity,
 )
 from stpoint import summaries
 from stpoint.summaries import resolve_config
@@ -208,6 +209,25 @@ def test_network_k_disconnected_components_by_hand():
     assert s.est[1, 0] == 0.0
     assert s.est[1, 1] == pytest.approx(want, rel=1e-12)
     assert s.est[2, 2] == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def times_near_the_ends(draw):
+    """(t0, t1, ti, tj): an interval far from 0, ti at or one ulp inside an end."""
+    t0, t1 = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2, unique=True)))
+    ends = st.sampled_from([t0, t1, np.nextafter(t0, t1), np.nextafter(t1, t0)])
+    return t0, t1, draw(ends), draw(st.one_of(ends, ends, st.floats(t0, t1)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(times_near_the_ends())
+def test_zero_temporal_count_needs_a_time_next_to_an_end(case):
+    # the premise of the dead-pair count in summaries._network_block: it
+    # evaluates m_T only for partners this close to t0 or t1
+    t0, t1, ti, tj = case
+    if temporal_multiplicity(TimeInterval(t0, t1), ti, abs(ti - tj)) == 0:
+        slop = 4.0 * np.finfo(float).eps * (max(abs(ti), abs(tj)) + abs(t0) + abs(t1))
+        assert tj <= t0 + slop or tj >= t1 - slop
 
 
 def test_network_normalize_toggle(net_poisson):
