@@ -240,17 +240,15 @@ def _infer_mark(name: str, raw: list) -> MarkColumn:
     # lexicographically sorted level set
     try:
         vals = np.array([float(v) for v in raw], dtype=float)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"mark {name!r} has non-finite values")
-        return MarkColumn("continuous", vals)
-    except (TypeError, ValueError) as exc:
-        if "non-finite" in str(exc):
-            raise
-    labels = [str(v) for v in raw]
-    levels = tuple(sorted(set(labels)))
-    index = {lv: i for i, lv in enumerate(levels)}
-    codes = np.array([index[v] for v in labels], dtype=np.int64)
-    return MarkColumn("categorical", codes, levels)
+    except (TypeError, ValueError):
+        labels = [str(v) for v in raw]
+        levels = tuple(sorted(set(labels)))
+        index = {lv: i for i, lv in enumerate(levels)}
+        codes = np.array([index[v] for v in labels], dtype=np.int64)
+        return MarkColumn("categorical", codes, levels)
+    if not np.isfinite(vals).all():
+        raise ValueError(f"mark {name!r} has non-finite values")
+    return MarkColumn("continuous", vals)
 
 
 def pattern_from_table(

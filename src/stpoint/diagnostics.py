@@ -27,6 +27,7 @@ from .summaries import (
     SummaryConfig,
     SummarySurface,
     _canonical_order,
+    _check_lam,
     _lag_sums,
     _pairs,
     _theoretical,
@@ -137,13 +138,13 @@ def localtest(
     X = X.subset(order)
     Z = Z.subset(_canonical_order(Z))
 
-    # X against the pooled events [X, Z]: each origin's in-range partner
-    # rows; the pair (x_i, x_i) is listed too and dropped below
+    # X against the pooled events [X, Z], blocks joined to be read by origin;
+    # the pair (x_i, x_i) is listed too and dropped below
     seg = off = None
     if X.network is not None:
         seg, off = np.concatenate([X.net_seg, Z.net_seg]), np.concatenate([X.net_off, Z.net_off])
     XZ = PointPattern(np.vstack([X.coords, Z.coords]), X.window, X.interval, {}, X.network, seg, off)
-    origin, partner, d, dt, w, _ = _pairs(X, XZ, cfg)
+    origin, partner, d, dt, w = map(np.concatenate, zip(*(b[:5] for b in _pairs(X, XZ, cfg))))
     start = np.searchsorted(origin, np.arange(nX + 1))
 
     children = np.random.SeedSequence(seed).spawn(nX)
@@ -204,6 +205,7 @@ def globaldiag(pattern: PointPattern, lam, config: Optional[SummaryConfig] = Non
     """Squared discrepancy between the weighted K surface and Poisson K."""
     cfg = replace(config or SummaryConfig(), statistic="K")
     if pattern.n == 0:
+        _check_lam(pattern, lam)
         rcfg = resolve_config(pattern, cfg)
         theo = _theoretical(pattern, rcfg)
         surface = SummarySurface(

@@ -13,27 +13,28 @@ Pair (i, j) contributions, ordered pairs i != j:
     planar g:   kernel-smoothed version, Epanechnikov in lag and time
     network K:  1/(lam_i lam_j m(u_i, d_ij) m_T(t_i, |dt_ij|))
 
-Pairs beyond the lag reach are never built.  The reach is the largest
-lag any grid node can see, in distance and in time: r_max and h_max for
-K, r_max + b_r and h_max + b_h for g.  ``_pairs`` lists the pairs within
-it as flat row-major arrays, one row block of ``network._origin_blocks``
-at a time.  A block tries only its time slice of partners, those within
-the time reach of its origins (planar and network alike).  A planar block
-keeps the pairs inside the lag box |dx|, |dy| <= r_max, dt <= h_max first
-and takes distances for those only: a faithfully rounded hypot is never
-below max(|dx|, |dy|), so no pair within the reach is lost.  Network
-distances and equidistant counts come from ``network._pair_geometry`` for
-the slice only, the counts for the pairs within the distance reach.
-``_lag_sums`` folds their weights into every surface in steps of the same
-cell budget, with the sums of one sequential ``bincount`` keyed by lag
-node or by (origin, lag node).  Network pairs with no weight are skipped
-and counted in ``skipped_pairs``: unreachable pairs (different connected
-components), pairs whose temporal count is zero, and pairs within the lag
-reach whose equidistant count is zero.  Beyond the time slice only the
-first two kinds exist, and they are counted with no partner distances
-built: a partner is reachable exactly when its segment's start vertex is,
-which the block's vertex distances from ``_pair_geometry`` tell, and a
-zero temporal count needs a partner time next to an end of the interval.
+Pairs beyond the lag reach are never built.  The reach is the largest lag
+any grid node can see, in distance and in time: r_max and h_max for K,
+r_max + b_r and h_max + b_h for g.  ``_pairs`` yields the pairs within it
+one row block of ``network._origin_blocks`` at a time, row-major.  A block
+tries only its time slice of partners, those within the time reach of its
+origins (planar and network alike).  A planar block keeps the pairs inside
+the lag box |dx|, |dy| <= r_max, dt <= h_max first and takes distances for
+those only: a faithfully rounded hypot is never below max(|dx|, |dy|), so
+no pair within the reach is lost.  Network distances and equidistant
+counts come from ``network._pair_geometry`` for the slice only, the counts
+for the pairs within the distance reach.  Each block is folded into the
+running sums of the surface as it is made (``_fold``), so no pair outlives
+its block; the sums are those of one sequential ``bincount`` over all
+pairs, keyed by lag node or by (origin, lag node).  Network pairs with no
+weight are skipped and counted in ``skipped_pairs``: unreachable pairs
+(different connected components), pairs whose temporal count is zero, and
+pairs within the lag reach whose equidistant count is zero.  Beyond the
+time slice only the first two kinds exist, and they are counted with no
+partner distances built: a partner is reachable exactly when its segment's
+start vertex is, which the block's vertex distances from
+``_pair_geometry`` tell, and a zero temporal count needs a partner time
+next to an end of the interval.
 """
 
 from __future__ import annotations
@@ -159,12 +160,12 @@ class ListaSet:
 
 def _check_lam(pattern, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
+    if (lam <= 0).any() or not np.isfinite(lam).all():  # a scalar too, before it is broadcast
+        raise ValueError("intensities must be positive and finite")
     if lam.ndim == 0:
         lam = np.full(pattern.n, float(lam))
     if lam.shape != (pattern.n,):
         raise ValueError("lam must be scalar or one value per event")
-    if (lam <= 0).any() or not np.isfinite(lam).all():
-        raise ValueError("intensities must be positive and finite")
     return lam
 
 
@@ -255,21 +256,20 @@ def _network_block(X, Z, rows, j, rmax, hmax):
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
-    """Ordered pairs (x_i, z_j) that some lag node can see, as flat arrays.
+    """Ordered pairs (x_i, z_j) that some lag node can see, block by block.
 
-    Returns (i, j, d, dt, w, skipped) in row-major (i, then j) order for the
-    pairs within the lag reach, a superset of those with a side="left" bin
-    or a nonzero kernel value; ``Z is X`` means self pairs, i != j.  w is
-    num over the edge correction with x_i as origin: the translation
-    proportion (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
+    Yields (i, j, d, dt, w, dead) for each row block of origins of
+    ``network._origin_blocks``, its pairs within the lag reach in row-major
+    (i, then j) order: a superset of those with a side="left" bin or a
+    nonzero kernel value; ``Z is X`` means self pairs, i != j.  w is num
+    over the edge correction with x_i as origin: the translation proportion
+    (planar) or m(x_i, d) m_T(t_i, |dt|) (network), with num =
     1/(lam_i lam_j) given lam, else 1.  Dead pairs, whose correction
-    vanishes, are left out; ``skipped`` counts the dead network pairs, with
-    every partner, each block counting its own (``_network_block``).
-    Origins go in the row blocks of ``network._origin_blocks``; each block
-    tries only its time slice of partners (``_time_slice``), and the
-    columns of the blocks' pairs are joined one at a time.
+    vanishes, are left out; ``dead`` counts the block's dead network pairs,
+    with every partner (``_network_block``), and is 0 for planar blocks.
+    Each block tries only its time slice of partners (``_time_slice``).
     """
-    rmax, hmax, skipped, blocks = cfg.rs[-1], cfg.hs[-1], 0, []
+    rmax, hmax, dead = cfg.rs[-1], cfg.hs[-1], 0
     if cfg.statistic == "g":  # the kernels reach one bandwidth further
         rmax, hmax = rmax + cfg.br, hmax + cfg.bh
     zo = np.argsort(Z.t, kind="stable")
@@ -281,14 +281,11 @@ def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):
             i, j, d, dt, corr = _planar_block(X, Z, rows, j, rmax, hmax, cfg.correction)
         else:
             i, j, d, dt, corr, dead = _network_block(X, Z, rows, j, rmax, hmax)
-            skipped += dead
         # planar pairs spanning the full window extent carry zero correction
         keep = (corr > 0) & ((i != j) | (Z is not X))
         i, j = i[keep], j[keep]
         num = 1.0 if lam is None else 1.0 / (lam[i] * lam[j])
-        blocks.append([i, j, d[keep], dt[keep], num / corr[keep]])
-    # one column at a time: pop drops each column's pieces once it is joined
-    return (*[np.concatenate([b.pop(0) for b in blocks]) for _ in range(5)], skipped)
+        yield i, j, d[keep], dt[keep], num / corr[keep], dead
 
 
 def _global_prefactor(pattern, lam, cfg) -> float:
@@ -321,51 +318,70 @@ def _kernel_band(lags, grid, bw):
     return nodes, np.where(used & (np.abs(u) <= 1.0), 0.75 * (1.0 - u * u) / bw, 0.0)
 
 
-def _band_nodes(grid, bw):
-    """The most grid nodes that one kernel band, 2 bw wide, can cover."""
-    return int((np.searchsorted(grid, grid + 2.0 * bw, side="right") - np.arange(len(grid))).max())
+def _fold(acc, cfg, rows, d, dt, w):
+    """Add one block's pair weights into the flat running sums acc.
 
-
-def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
-    """Surface estimates from pair weights, summed as one sequential bincount.
-
-    ``rows`` assigns each pair to an output row (all to row 0 by default);
-    at each lag node the pairs add up in the order given.  K bins a pair at
-    its side="left" node and cumulates over both lag axes; g spreads it over
-    the nodes by the Epanechnikov product kernel, over 4 pi r if planar.
-    The pairs are folded in the steps ``network._origin_blocks`` cuts for
-    their (pair, node) cells, each later step's bincount starting the nodes
-    it touches from their running totals: the one-pass sums, bit for bit.
-    Scaled by pref; shape (nrows, len(rs), len(hs)).
+    ``rows`` assigns each pair to an output row.  K bins a pair at its
+    side="left" node; g spreads it over the nodes by the Epanechnikov
+    product kernel.  One sequential ``bincount`` over only the nodes the
+    block touches starts them from their totals and adds the pairs in the
+    order given: block after block, the one-pass sums, bit for bit.
     """
     nr, nh = len(cfg.rs), len(cfg.hs)
-    rows, cells = np.broadcast_to(rows, np.shape(d)), 1  # cells: lag nodes one pair adds to
-    if cfg.statistic == "g":
-        cells = _band_nodes(cfg.rs, cfg.br) * _band_nodes(cfg.hs, cfg.bh)
-    acc = np.zeros(nrows * nr * nh)
-    for s in _origin_blocks(None, len(d), cells):
-        if cfg.statistic == "K":
-            a = np.searchsorted(cfg.rs, d[s], side="left")
-            b = np.searchsorted(cfg.hs, dt[s], side="left")
-            ok = (a < nr) & (b < nh)
-            key, val = ((rows[s] * nr + a) * nh + b)[ok], w[s][ok]
-        else:
-            a, ks = _kernel_band(d[s], cfg.rs, cfg.br)
-            b, kt = _kernel_band(dt[s], cfg.hs, cfg.bh)
-            key = (rows[s, None, None] * nr + a[:, :, None]) * nh + b[:, None, :]
-            key, val = key.ravel(), (ks[:, :, None] * (w[s, None] * kt)[:, None, :]).ravel()
-        if s.start == 0:  # bincount gives int64 on no keys: acc stays float
-            acc[:] = np.bincount(key, weights=val, minlength=acc.size)
-        elif key.size:
-            k0, k1 = key.min(), key.max() + 1
-            keys = np.concatenate([np.arange(k1 - k0), key - k0])
-            acc[k0:k1] = np.bincount(keys, weights=np.concatenate([acc[k0:k1], val]))
-    acc = acc.reshape(nrows, nr, nh)
+    rows = np.broadcast_to(rows, np.shape(d))
+    if cfg.statistic == "K":
+        a = np.searchsorted(cfg.rs, d, side="left")
+        b = np.searchsorted(cfg.hs, dt, side="left")
+        ok = (a < nr) & (b < nh)
+        key, val = ((rows * nr + a) * nh + b)[ok], w[ok]
+    else:
+        a, ks = _kernel_band(d, cfg.rs, cfg.br)
+        b, kt = _kernel_band(dt, cfg.hs, cfg.bh)
+        key = (rows[:, None, None] * nr + a[:, :, None]) * nh + b[:, None, :]
+        key, val = key.ravel(), (ks[:, :, None] * (w[:, None] * kt)[:, None, :]).ravel()
+    if key.size:
+        k0, k1 = key.min(), key.max() + 1
+        key = np.concatenate([np.arange(k1 - k0), np.subtract(key, k0, out=key)])
+        acc[k0:k1] = np.bincount(key, weights=np.concatenate([acc[k0:k1], val]))
+
+
+def _scaled(pattern, cfg, pref, acc):
+    """Surfaces from folded sums: K cumulated over both lag axes, planar g over 4 pi r."""
+    acc = acc.reshape(-1, len(cfg.rs), len(cfg.hs))
     if cfg.statistic == "K":
         acc = np.cumsum(np.cumsum(acc, axis=1), axis=2)
     elif pattern.network is None:
         pref = (pref / (4.0 * math.pi * cfg.rs))[:, None]
     return acc * pref
+
+
+def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
+    """Surfaces from flat pair weights, ``rows`` their output rows, scaled by pref."""
+    acc = np.zeros(nrows * len(cfg.rs) * len(cfg.hs))
+    _fold(acc, cfg, rows, d, dt, w)
+    return _scaled(pattern, cfg, pref, acc)
+
+
+def _surfaces(pattern, lam, config, local):
+    """(cfg, order, est, skipped) of the global surface, or local if local.
+
+    Events are summed in canonical order, ``order``, and est has one row,
+    or one per event in that order.  Each pair block of ``_pairs`` is
+    folded as it is made, so no pair table outlives its block.
+    """
+    if pattern.n < 1:
+        raise ValueError("need at least 1 event")
+    cfg = resolve_config(pattern, config)
+    lam = _check_lam(pattern, lam)
+    order = _canonical_order(pattern, lam)
+    pattern, lam = pattern.subset(order), lam[order]
+    nrows = pattern.n if local else 1
+    acc, skipped = np.zeros(nrows * len(cfg.rs) * len(cfg.hs)), 0
+    for i, _, d, dt, w, dead in _pairs(pattern, pattern, cfg, lam):
+        _fold(acc, cfg, i if local else 0, d, dt, w)
+        skipped += dead
+    pref = _global_prefactor(pattern, lam, cfg) * nrows
+    return cfg, order, _scaled(pattern, cfg, pref, acc), skipped
 
 
 def second_order_global(pattern, lam, config=None) -> SummarySurface:
@@ -375,14 +391,7 @@ def second_order_global(pattern, lam, config=None) -> SummarySurface:
     depend on the input row order.  A single-event pattern has no pairs
     and yields the all-zero estimate.
     """
-    if pattern.n < 1:
-        raise ValueError("need at least 1 event")
-    cfg = resolve_config(pattern, config)
-    lam = _check_lam(pattern, lam)
-    order = _canonical_order(pattern, lam)
-    pattern, lam = pattern.subset(order), lam[order]
-    _, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
-    est = _lag_sums(pattern, cfg, _global_prefactor(pattern, lam, cfg), d, dt, w)[0]
+    cfg, _, (est,), skipped = _surfaces(pattern, lam, config, local=False)
     return SummarySurface(cfg.rs, cfg.hs, est, _theoretical(pattern, cfg), cfg.statistic, skipped)
 
 
@@ -392,10 +401,6 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
     Surfaces come in input row order, each summed as in
     ``second_order_global``, so permuting the rows permutes the surfaces.
     """
-    if pattern.n < 1:
-        raise ValueError("need at least 1 event")
-    cfg = resolve_config(pattern, config)
-    lam = _check_lam(pattern, lam)
     n = pattern.n
     if ids is None:
         ids = np.arange(1, n + 1)
@@ -403,14 +408,7 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         ids = _integers(ids, "ids must be integers")
         if ids.size == 0 or ids.min() < 1 or ids.max() > n:
             raise ValueError("ids must be 1-based event numbers")
-    order = _canonical_order(pattern, lam)
-    pattern, lam = pattern.subset(order), lam[order]
-    i, _, d, dt, w, skipped = _pairs(pattern, pattern, cfg, lam)
-    pref = _global_prefactor(pattern, lam, cfg) * n
-    est = _lag_sums(pattern, cfg, pref, d, dt, w, i, n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    est = est[rank[ids - 1]]
-    theo = _theoretical(pattern, cfg)
+    cfg, order, est, skipped = _surfaces(pattern, lam, config, local=True)
+    theo, est = _theoretical(pattern, cfg), est[np.argsort(order)[ids - 1]]
     surfaces = tuple(SummarySurface(cfg.rs, cfg.hs, e, theo, cfg.statistic) for e in est)
     return ListaSet(np.asarray(ids), surfaces, cfg.statistic, skipped)

@@ -1,4 +1,8 @@
-"""Shared fixtures: small networks and simulated patterns reused across tests."""
+"""Shared fixtures: small networks and simulated patterns reused across tests.
+
+Also the two adapters between the block-wise pair engine and the flat
+dense references: ``one_block`` and ``joined``.
+"""
 
 import numpy as np
 import pytest
@@ -10,6 +14,21 @@ from stpoint import (
     TimeInterval,
     sim_poisson,
 )
+
+
+def one_block(dense_pairs):
+    """A reference pair function as ``summaries._pairs``: its pairs as one block."""
+
+    def blocks(*args, **kwargs):
+        yield dense_pairs(*args, **kwargs)
+
+    return blocks
+
+
+def joined(blocks):
+    """The blocks of ``summaries._pairs`` as one flat (i, j, d, dt, w, skipped)."""
+    blocks = list(blocks)
+    return (*(np.concatenate(c) for c in zip(*(b[:5] for b in blocks))), sum(b[5] for b in blocks))
 
 
 @pytest.fixture(scope="session")

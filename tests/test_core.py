@@ -130,6 +130,19 @@ def test_numeric_string_marks_become_continuous():
     assert pat.marks["size"].values.tolist() == [2.5, 3.5]
 
 
+def test_label_naming_non_finite_is_categorical():
+    # a label is text that does not parse as a float, whatever it says
+    rows = [(0.1, 0.2, 0.3, "non-finite zone"), (0.4, 0.5, 0.6, "ok")]
+    m = pattern_from_table(rows, names=["label"]).marks["label"]
+    assert m.kind == "categorical"
+    assert m.labels.tolist() == ["non-finite zone", "ok"]
+    # numbers that parse but are not finite are still refused
+    for bad in ("nan", "inf"):
+        rows = [(0.1, 0.2, 0.3, "1.5"), (0.4, 0.5, 0.6, bad)]
+        with pytest.raises(ValueError, match="mark 'size' has non-finite values"):
+            pattern_from_table(rows, names=["size"])
+
+
 def test_mark_column_validation():
     with pytest.raises(ValueError):
         MarkColumn("weird", np.array([1.0]))

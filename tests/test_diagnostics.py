@@ -195,11 +195,12 @@ def test_globaldiag_single_event(unit_window, unit_interval):
     assert np.array_equal(res.diff, -res.surface.theo)
 
 
-@pytest.mark.parametrize("lam", [-1.0, [np.nan], [1.0, 2.0, 3.0]])
+@pytest.mark.parametrize("lam", [-1.0, [np.nan], [1.0, 2.0, 3.0], np.nan, [np.nan, np.nan], "x"])
 def test_globaldiag_single_event_checks_lam(unit_window, unit_interval, lam):
     pat = PointPattern(np.array([[0.5, 0.5, 0.5]]), unit_window, unit_interval)
-    with pytest.raises(ValueError):
-        globaldiag(pat, lam)
+    for events in (pat.subset([]), pat):  # no pair on either: lam is checked alone
+        with pytest.raises(ValueError):
+            globaldiag(events, lam)
 
 
 def test_globaldiag_diff_and_str(poisson100):

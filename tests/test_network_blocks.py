@@ -38,6 +38,7 @@ from stpoint import (
 from stpoint import diagnostics, network, summaries
 from stpoint.network import VERTEX_TOL, _pair_geometry, _row_searchsorted, _vertex_distances
 
+from conftest import joined, one_block
 from network_reference import dense_pairs, dijkstra, per_origin_pair_geometry
 
 UNIT_T = TimeInterval(0.0, 1.0)
@@ -252,7 +253,7 @@ def test_surfaces_match_dense_reference_across_blocks(monkeypatch, cells, blocks
             glob = second_order_global(pat, lam, cfg)
             loc = second_order_local(pat, lam, cfg)
         with monkeypatch.context() as m:
-            m.setattr(summaries, "_pairs", dense_pairs)
+            m.setattr(summaries, "_pairs", one_block(dense_pairs))
             want_glob = second_order_global(pat, lam, cfg)
             want_loc = second_order_local(pat, lam, cfg)
         assert np.array_equal(glob.est, want_glob.est)
@@ -435,7 +436,7 @@ def sliced_cases(draw):
 
 def reference_run(module, call):
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(module, "_pairs", dense_pairs)
+        m.setattr(module, "_pairs", one_block(dense_pairs))
         return call()
 
 
@@ -450,7 +451,7 @@ def test_time_sliced_pairs_match_dense_reference(case, statistic):
         glob = second_order_global(X, lam, cfg)
         loc = second_order_local(X, lam, cfg)
         pvalues = localtest(X, Z, statistic, k=19, config=cfg, seed=3).pvalues
-        assert (summaries._pairs(X, Z, summaries.resolve_config(X, cfg))[5]
+        assert (joined(summaries._pairs(X, Z, summaries.resolve_config(X, cfg)))[5]
                 == dense_pairs(X, Z, summaries.resolve_config(X, cfg))[5])
     want_glob = reference_run(summaries, lambda: second_order_global(X, lam, cfg))
     want_loc = reference_run(summaries, lambda: second_order_local(X, lam, cfg))

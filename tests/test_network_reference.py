@@ -25,6 +25,7 @@ from stpoint import (
 )
 from stpoint import diagnostics, summaries
 
+from conftest import one_block
 from network_reference import dense_distances, dense_pairs
 
 UNIT_T = TimeInterval(0.0, 1.0)
@@ -71,7 +72,7 @@ def test_surfaces_match_dense_reference(request, monkeypatch, name, statistic, r
         lam = rng.uniform(0.5, 2.0, pat.n)
         got = surfaces(pat, lam, cfg)
         with monkeypatch.context() as m:
-            m.setattr(summaries, "_pairs", dense_pairs)
+            m.setattr(summaries, "_pairs", one_block(dense_pairs))
             want = surfaces(pat, lam, cfg)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -86,7 +87,7 @@ def test_localtest_matches_dense_reference(request, monkeypatch, name, method):
     Z = random_pattern(net, 20, rng)
     got = localtest(X, Z, method, k=19, seed=11).pvalues
     with monkeypatch.context() as m:
-        m.setattr(diagnostics, "_pairs", dense_pairs)
+        m.setattr(diagnostics, "_pairs", one_block(dense_pairs))
         want = localtest(X, Z, method, k=19, seed=11).pvalues
     assert np.array_equal(got, want)
 
@@ -110,7 +111,7 @@ def test_disconnected_skipped_pairs_match_dense_reference(monkeypatch, two_compo
     cfg = SummaryConfig(rs=np.array([0.2, 0.4, 0.6]), hs=np.array([0.05, 0.1, 0.2]))
     got = second_order_global(pat, 1.0, cfg)
     with monkeypatch.context() as m:
-        m.setattr(summaries, "_pairs", dense_pairs)
+        m.setattr(summaries, "_pairs", one_block(dense_pairs))
         want = second_order_global(pat, 1.0, cfg)
     assert got.skipped_pairs == want.skipped_pairs == 4
     assert np.array_equal(got.est, want.est)

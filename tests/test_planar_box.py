@@ -24,6 +24,7 @@ from stpoint import (
 from stpoint import summaries
 from stpoint.summaries import resolve_config
 
+from conftest import joined, one_block
 from planar_reference import dense_pairs
 from test_summaries import UNIT_T, UNIT_W
 
@@ -76,7 +77,7 @@ def test_pairs_on_the_box_edge_match_dense_reference(statistic, correction):
     X = box_edge_pattern(reach, hreach)
     cfg = resolve_config(X, SummaryConfig(statistic=statistic, correction=correction, **grid))
     lam = np.linspace(50.0, 80.0, X.n)
-    got = summaries._pairs(X, X, cfg, lam)
+    got = joined(summaries._pairs(X, X, cfg, lam))
     want = dense_pairs(X, X, cfg, lam)
     keep = (want[2] <= reach) & (want[3] <= hreach) & (want[4] > 0)
     for a, b in zip(got[:5], want[:5]):
@@ -88,7 +89,7 @@ def test_pairs_on_the_box_edge_match_dense_reference(statistic, correction):
     assert (d == reach).sum() >= 8 and (dt == hreach).sum() >= 8
     assert d.max() == reach and dt.max() == hreach
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(summaries, "_pairs", dense_pairs)
+        m.setattr(summaries, "_pairs", one_block(dense_pairs))
         ref = second_order_global(X, lam, cfg), second_order_local(X, lam, cfg)
     glob, loc = second_order_global(X, lam, cfg), second_order_local(X, lam, cfg)
     assert np.array_equal(glob.est, ref[0].est)

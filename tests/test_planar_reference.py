@@ -31,6 +31,7 @@ from stpoint import (
 from stpoint import diagnostics, network, summaries
 from stpoint.summaries import resolve_config
 
+from conftest import joined, one_block
 from planar_reference import dense_g, dense_k, dense_pairs
 from test_summaries import UNIT_T, UNIT_W, planar_events, planar_pattern, sum_bound
 
@@ -65,10 +66,10 @@ def test_planar_surfaces_match_dense_reference(statistic, correction, events, gr
         got = surfaces(pat, lam, cfg)
         # every ordered pair, folded in the same steps: with a small budget
         # the first step often holds no pair inside the grid
-        m.setattr(summaries, "_pairs", dense_pairs)
+        m.setattr(summaries, "_pairs", one_block(dense_pairs))
         folded = surfaces(pat, lam, cfg)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(summaries, "_pairs", dense_pairs)
+        m.setattr(summaries, "_pairs", one_block(dense_pairs))
         want = surfaces(pat, lam, cfg)
     for a, b, c in zip(got, folded, want):
         assert np.array_equal(a, c) and np.array_equal(b, c)
@@ -85,7 +86,7 @@ def test_planar_pairs_are_the_live_dense_pairs_in_reach(background, alternative,
     lam = lam if same else None
     with pytest.MonkeyPatch.context() as m:
         m.setattr(network, "_CELLS", cells)
-        got = summaries._pairs(X, Z, cfg, lam)
+        got = joined(summaries._pairs(X, Z, cfg, lam))
     want = dense_pairs(X, Z, cfg, lam)
     reach = (want[2] <= cfg.rs[-1] + cfg.br) & (want[3] <= cfg.hs[-1] + cfg.bh) & (want[4] > 0)
     for a, b in zip(got[:5], want[:5]):
@@ -116,7 +117,7 @@ def test_multi_block_sweep_matches_dense_reference(statistic):
     cfg = SummaryConfig(statistic=statistic)
     got = surfaces(pat, lam, cfg)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(summaries, "_pairs", dense_pairs)
+        m.setattr(summaries, "_pairs", one_block(dense_pairs))
         want = surfaces(pat, lam, cfg)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -170,6 +171,6 @@ def test_planar_localtest_matches_dense_reference(method, background, alternativ
         m.setattr(network, "_CELLS", cells)
         got = localtest(X, Z, method, k=9, alpha=0.2, config=cfg, seed=3).pvalues
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(diagnostics, "_pairs", dense_pairs)
+        m.setattr(diagnostics, "_pairs", one_block(dense_pairs))
         want = localtest(X, Z, method, k=9, alpha=0.2, config=cfg, seed=3).pvalues
     assert np.array_equal(got, want)

@@ -403,15 +403,33 @@ def test_pcf_memory_fence():
 
 @pytest.mark.parametrize("statistic, bound_mb", [("K", 80), ("g", 100)])
 def test_planar_pair_block_memory_fence(statistic, bound_mb):
-    # pairs are found per origin block and folded into the surface in
-    # bounded steps, so the peak is about the in-range pair columns: 51 MB
-    # for K and 66 MB for g here, where the whole-table sweep and the
-    # all-pairs kernel band peaked at 104 and 240 MB
+    # each origin block's pairs are folded into the surface as they are
+    # made, so the peak is about one block: 3.1 MB for K and 3.6 MB for g
+    # here, where the joined in-range pair columns peaked at 51 and 66 MB,
+    # the whole-table sweep and the all-pairs kernel band at 104 and 240 MB
     pat = sim_poisson(IntensitySpec.constant(4000.0), window=UNIT_W, interval=UNIT_T, seed=0)
     assert 3800 < pat.n < 4200
     tracemalloc.start()
     try:
         second_order_global(pat, float(pat.n), SummaryConfig(statistic=statistic))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
+
+
+@pytest.mark.parametrize("statistic, bound_mb", [("K", 40), ("g", 56)])
+@pytest.mark.parametrize("surface", [second_order_global, second_order_local])
+def test_pair_block_memory_fence_with_every_pair_in_reach(surface, statistic, bound_mb):
+    # all events in a 0.05-wide cube: every pair a block tries is within the
+    # lag reach, so each block holds its full budget of pairs.  Blocks are
+    # folded as they are made, so the peak is a few blocks: 20-22 MB for K
+    # and 29-31 MB for g, where joining every pair before the fold peaked
+    # at 188 MB
+    pat = PointPattern(0.4 + 0.05 * np.random.default_rng(0).random((2000, 3)), UNIT_W, UNIT_T)
+    tracemalloc.start()
+    try:
+        surface(pat, float(pat.n), SummaryConfig(statistic=statistic))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
