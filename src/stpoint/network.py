@@ -303,9 +303,9 @@ def _origin_blocks(network, n_origins: int, n_partners: int) -> list:
 
     A block's tables have one row per origin and one column per partner,
     vertex or (sub)segment; per partner only when network is None.  The
-    origins are pair-table origins, mark-imputation query points or IDW
-    grid nodes (against samples).  There is always at least one, maybe
-    empty, slice.
+    origins are pair-table origins, the pairs of a lag fold, mark-imputation
+    query points or IDW grid nodes (against samples).  There is always at
+    least one, maybe empty, slice.
     """
     net = () if network is None else (len(network.vertices), len(network.segments) + 1)
     step = max(1, _CELLS // max(n_partners, 1, *net))

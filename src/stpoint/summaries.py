@@ -24,17 +24,18 @@ those only: a faithfully rounded hypot is never below max(|dx|, |dy|), so
 no pair within the reach is lost.  Network distances and equidistant
 counts come from ``network._pair_geometry`` for the slice only, the counts
 for the pairs within the distance reach.  Each block is folded into the
-running sums of the surface as it is made (``_fold``), so no pair outlives
-its block; the sums are those of one sequential ``bincount`` over all
-pairs, keyed by lag node or by (origin, lag node).  Network pairs with no
-weight are skipped and counted in ``skipped_pairs``: unreachable pairs
-(different connected components), pairs whose temporal count is zero, and
-pairs within the lag reach whose equidistant count is zero.  Beyond the
-time slice only the first two kinds exist, and they are counted with no
-partner distances built: a partner is reachable exactly when its segment's
-start vertex is, which the block's vertex distances from
-``_pair_geometry`` tell, and a zero temporal count needs a partner time
-next to an end of the interval.
+running sums of the surface as it is made, so no pair outlives its block,
+and ``_fold`` cuts it into steps of the same cell budget for its (pair,
+lag node) cells; the sums are those of one sequential ``bincount`` over
+all pairs, keyed by lag node or by (origin, lag node).  Network pairs
+with no weight are skipped and counted in ``skipped_pairs``: unreachable
+pairs (different connected components), pairs whose temporal count is
+zero, and pairs within the lag reach whose equidistant count is zero.
+Beyond the time slice only the first two kinds exist, and they are
+counted with no partner distances built: a partner is reachable exactly
+when its segment's start vertex is, which the block's vertex distances
+from ``_pair_geometry`` tell, and a zero temporal count needs a partner
+time next to an end of the interval.
 """
 
 from __future__ import annotations
@@ -203,7 +204,9 @@ def _planar_block(X, Z, rows, j, rmax, hmax, correction):
     taken for the pairs inside it only.  No pair with d <= rmax is lost: a
     faithfully rounded hypot is never below max(dx, dy).
     """
-    dx, dy, dt = (np.abs(a[rows, None] - b[j]) for a, b in ((X.x, Z.x), (X.y, Z.y), (X.t, Z.t)))
+    dx, dy, dt = (a[rows, None] - b[j] for a, b in ((X.x, Z.x), (X.y, Z.y), (X.t, Z.t)))
+    for a in (dx, dy, dt):  # in place: one fresh table per axis and block
+        np.abs(a, out=a)
     box = np.flatnonzero((dt <= hmax) & (dx <= rmax) & (dy <= rmax))
     d = np.hypot(dx.take(box), dy.take(box))
     near = d <= rmax
@@ -318,31 +321,40 @@ def _kernel_band(lags, grid, bw):
     return nodes, np.where(used & (np.abs(u) <= 1.0), 0.75 * (1.0 - u * u) / bw, 0.0)
 
 
+def _band_nodes(grid, bw):
+    """The most grid nodes that one kernel band, 2 bw wide, can cover."""
+    return int((np.searchsorted(grid, grid + 2.0 * bw, side="right") - np.arange(len(grid))).max())
+
+
 def _fold(acc, cfg, rows, d, dt, w):
-    """Add one block's pair weights into the flat running sums acc.
+    """Add pair weights into the flat running sums acc, as one sequential bincount.
 
     ``rows`` assigns each pair to an output row.  K bins a pair at its
     side="left" node; g spreads it over the nodes by the Epanechnikov
-    product kernel.  One sequential ``bincount`` over only the nodes the
-    block touches starts them from their totals and adds the pairs in the
-    order given: block after block, the one-pass sums, bit for bit.
+    product kernel.  The pairs go in the steps ``network._origin_blocks``
+    cuts for their (pair, node) cells; each step's bincount starts the
+    nodes it touches from their running totals and adds its pairs in the
+    order given: call after call, the one-pass sums, bit for bit.
     """
     nr, nh = len(cfg.rs), len(cfg.hs)
-    rows = np.broadcast_to(rows, np.shape(d))
-    if cfg.statistic == "K":
-        a = np.searchsorted(cfg.rs, d, side="left")
-        b = np.searchsorted(cfg.hs, dt, side="left")
-        ok = (a < nr) & (b < nh)
-        key, val = ((rows * nr + a) * nh + b)[ok], w[ok]
-    else:
-        a, ks = _kernel_band(d, cfg.rs, cfg.br)
-        b, kt = _kernel_band(dt, cfg.hs, cfg.bh)
-        key = (rows[:, None, None] * nr + a[:, :, None]) * nh + b[:, None, :]
-        key, val = key.ravel(), (ks[:, :, None] * (w[:, None] * kt)[:, None, :]).ravel()
-    if key.size:
-        k0, k1 = key.min(), key.max() + 1
-        key = np.concatenate([np.arange(k1 - k0), np.subtract(key, k0, out=key)])
-        acc[k0:k1] = np.bincount(key, weights=np.concatenate([acc[k0:k1], val]))
+    rows, cells = np.broadcast_to(rows, np.shape(d)), 1  # cells: lag nodes one pair adds to
+    if cfg.statistic == "g":
+        cells = _band_nodes(cfg.rs, cfg.br) * _band_nodes(cfg.hs, cfg.bh)
+    for s in _origin_blocks(None, len(d), cells):
+        if cfg.statistic == "K":
+            a = np.searchsorted(cfg.rs, d[s], side="left")
+            b = np.searchsorted(cfg.hs, dt[s], side="left")
+            ok = (a < nr) & (b < nh)
+            key, val = ((rows[s] * nr + a) * nh + b)[ok], w[s][ok]
+        else:
+            a, ks = _kernel_band(d[s], cfg.rs, cfg.br)
+            b, kt = _kernel_band(dt[s], cfg.hs, cfg.bh)
+            key = (rows[s, None, None] * nr + a[:, :, None]) * nh + b[:, None, :]
+            key, val = key.ravel(), (ks[:, :, None] * (w[s, None] * kt)[:, None, :]).ravel()
+        if key.size:
+            k0, k1 = key.min(), key.max() + 1
+            key = np.concatenate([np.arange(k1 - k0), np.subtract(key, k0, out=key)])
+            acc[k0:k1] = np.bincount(key, weights=np.concatenate([acc[k0:k1], val]))
 
 
 def _scaled(pattern, cfg, pref, acc):
@@ -362,8 +374,8 @@ def _lag_sums(pattern, cfg, pref, d, dt, w, rows=0, nrows=1):
     return _scaled(pattern, cfg, pref, acc)
 
 
-def _surfaces(pattern, lam, config, local):
-    """(cfg, order, est, skipped) of the global surface, or local if local.
+def _surfaces(pattern, lam, config, nrows):
+    """(cfg, order, est, skipped): nrows surfaces, 1 (global) or n (local).
 
     Events are summed in canonical order, ``order``, and est has one row,
     or one per event in that order.  Each pair block of ``_pairs`` is
@@ -375,10 +387,9 @@ def _surfaces(pattern, lam, config, local):
     lam = _check_lam(pattern, lam)
     order = _canonical_order(pattern, lam)
     pattern, lam = pattern.subset(order), lam[order]
-    nrows = pattern.n if local else 1
     acc, skipped = np.zeros(nrows * len(cfg.rs) * len(cfg.hs)), 0
     for i, _, d, dt, w, dead in _pairs(pattern, pattern, cfg, lam):
-        _fold(acc, cfg, i if local else 0, d, dt, w)
+        _fold(acc, cfg, i if nrows > 1 else 0, d, dt, w)
         skipped += dead
     pref = _global_prefactor(pattern, lam, cfg) * nrows
     return cfg, order, _scaled(pattern, cfg, pref, acc), skipped
@@ -391,7 +402,7 @@ def second_order_global(pattern, lam, config=None) -> SummarySurface:
     depend on the input row order.  A single-event pattern has no pairs
     and yields the all-zero estimate.
     """
-    cfg, _, (est,), skipped = _surfaces(pattern, lam, config, local=False)
+    cfg, _, (est,), skipped = _surfaces(pattern, lam, config, 1)
     return SummarySurface(cfg.rs, cfg.hs, est, _theoretical(pattern, cfg), cfg.statistic, skipped)
 
 
@@ -408,7 +419,7 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         ids = _integers(ids, "ids must be integers")
         if ids.size == 0 or ids.min() < 1 or ids.max() > n:
             raise ValueError("ids must be 1-based event numbers")
-    cfg, order, est, skipped = _surfaces(pattern, lam, config, local=True)
+    cfg, order, est, skipped = _surfaces(pattern, lam, config, n)
     theo, est = _theoretical(pattern, cfg), est[np.argsort(order)[ids - 1]]
     surfaces = tuple(SummarySurface(cfg.rs, cfg.hs, e, theo, cfg.statistic) for e in est)
     return ListaSet(np.asarray(ids), surfaces, cfg.statistic, skipped)

@@ -5,6 +5,7 @@ seed blocks; the probability statements they check hold with margin at
 those seeds, so the assertions are deterministic.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -153,6 +154,25 @@ def test_localtest_validation(poisson100, unit_window, unit_interval):
     lone = PointPattern(np.array([[0.5, 0.5, 0.5]]), unit_window, unit_interval)
     with pytest.raises(ValueError, match="alternative >= 2"):
         localtest(poisson100, lone, seed=0)
+
+
+def test_localtest_fold_memory_fence_with_wide_kernel_bands(unit_window, unit_interval):
+    # wide bandwidths on a 40 x 40 lag grid spread each picked pair over all
+    # 1600 nodes; the fold takes an origin's picks in steps of the cell
+    # budget, so the peak is 8 MB here, where folding them all at once
+    # peaked at 80 MB
+    rng = np.random.default_rng(0)
+    X = PointPattern(0.4 + 0.05 * rng.random((20, 3)), unit_window, unit_interval)
+    Z = PointPattern(0.4 + 0.05 * rng.random((400, 3)), unit_window, unit_interval)
+    grid = 0.25 * np.arange(1, 41) / 40
+    cfg = SummaryConfig(rs=grid, hs=grid, br=0.25, bh=0.25)
+    tracemalloc.start()
+    try:
+        localtest(X, Z, "g", k=99, config=cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_significant_ids_are_one_based():

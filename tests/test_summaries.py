@@ -418,18 +418,31 @@ def test_planar_pair_block_memory_fence(statistic, bound_mb):
     assert peak < bound_mb * 2**20
 
 
-@pytest.mark.parametrize("statistic, bound_mb", [("K", 40), ("g", 56)])
+WIDE_GRID = 0.25 * np.arange(1, 21) / 20
+
+
+@pytest.mark.parametrize(
+    "n, config, bound_mb",
+    [
+        (2000, SummaryConfig(statistic="K"), 40),
+        (2000, SummaryConfig(statistic="g"), 40),
+        (300, SummaryConfig(statistic="g", rs=WIDE_GRID, hs=WIDE_GRID, br=0.25, bh=0.25), 20),
+    ],
+    ids=["K", "g", "g-wide-bands"],
+)
 @pytest.mark.parametrize("surface", [second_order_global, second_order_local])
-def test_pair_block_memory_fence_with_every_pair_in_reach(surface, statistic, bound_mb):
+def test_pair_block_memory_fence_with_every_pair_in_reach(surface, n, config, bound_mb):
     # all events in a 0.05-wide cube: every pair a block tries is within the
     # lag reach, so each block holds its full budget of pairs.  Blocks are
     # folded as they are made, so the peak is a few blocks: 20-22 MB for K
-    # and 29-31 MB for g, where joining every pair before the fold peaked
-    # at 188 MB
-    pat = PointPattern(0.4 + 0.05 * np.random.default_rng(0).random((2000, 3)), UNIT_W, UNIT_T)
+    # and g, where joining every pair before the fold peaked at 188 MB.
+    # Wide bandwidths on a 20 x 20 lag grid spread each pair over all 400
+    # nodes; the fold takes a block in steps of the cell budget, so the peak
+    # is 10-11 MB, where folding a whole block at once peaked at 882 MB
+    pat = PointPattern(0.4 + 0.05 * np.random.default_rng(0).random((n, 3)), UNIT_W, UNIT_T)
     tracemalloc.start()
     try:
-        surface(pat, float(pat.n), SummaryConfig(statistic=statistic))
+        surface(pat, float(pat.n), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
