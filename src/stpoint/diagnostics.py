@@ -106,9 +106,9 @@ def localtest(
     pool in canonical event order, drawn in row blocks of
     ``network._origin_blocks`` (the same keys as one draw), and each
     subset holds the n_X - 1 pool members with the smallest keys of its
-    row.  Only x_i's in-range partners are looked up, and each surface
-    sums its pairs in pool order.  For a given seed the p-values do not
-    depend on the row order of X or Z.
+    row.  x_i's in-range partners are read from its block of ``_pairs``,
+    so memory is set by one block; surfaces sum pairs in pool order.  For
+    a given seed the p-values do not depend on the row order of X or Z.
     """
     X, Z = background, alternative
     if X.window != Z.window or X.interval != Z.interval:
@@ -138,45 +138,45 @@ def localtest(
     X = X.subset(order)
     Z = Z.subset(_canonical_order(Z))
 
-    # X against the pooled events [X, Z], blocks joined to be read by origin;
-    # the pair (x_i, x_i) is listed too and dropped below
+    # X against the pooled events [X, Z], one block of origins at a time
     seg = off = None
     if X.network is not None:
         seg, off = np.concatenate([X.net_seg, Z.net_seg]), np.concatenate([X.net_off, Z.net_off])
     XZ = PointPattern(np.vstack([X.coords, Z.coords]), X.window, X.interval, {}, X.network, seg, off)
-    origin, partner, d, dt, w = map(np.concatenate, zip(*(b[:5] for b in _pairs(X, XZ, cfg))))
-    start = np.searchsorted(origin, np.arange(nX + 1))
-
     children = np.random.SeedSequence(seed).spawn(nX)
     pvalues = np.empty(nX)
     size, n_pool = nX - 1, nX - 1 + nZ
-    for i in range(nX):
-        # origin i's in-range partners, without itself, and their positions
-        # in its pool (X minus x_i) then Z; pairs come in ascending partner
-        # order, so in pool order
-        mine = np.arange(start[i], start[i + 1])
-        mine = mine[partner[mine] != i]
-        pos = partner[mine] - (partner[mine] > i)
-        # row 0 is the observed partner set, rows 1..k the random subsets:
-        # each the size smallest of n_pool uniform keys, drawn in row blocks
-        # of one stream (the same keys as one draw)
-        hit = np.zeros((k + 1, len(mine)), dtype=bool)
-        hit[0] = pos < size
-        rng = np.random.default_rng(children[i])
-        for rows in _origin_blocks(None, k, n_pool) if size else ():  # else all empty
-            block = hit[1:][rows]
-            keys = rng.random((len(block), n_pool))
-            cut = np.partition(keys, size - 1, axis=1)[:, size - 1]
-            block[:] = keys[:, pos] <= cut[:, None]
-        sub, at = np.nonzero(hit)
-        pick = mine[at]
-        surf = _lag_sums(X, cfg, scale, d[pick], dt[pick], w[pick], sub, k + 1)
-        obs, null = surf[0], surf[1:]
-        mean_null = null.mean(axis=0)
-        t_obs = float(np.sum((obs - mean_null) ** 2))
-        loo_mean = (null.sum(axis=0)[None] - null) / (k - 1) if k > 1 else mean_null[None]
-        t_null = np.sum((null - loo_mean) ** 2, axis=(1, 2))
-        pvalues[order[i]] = (1.0 + np.sum(t_null >= t_obs)) / (k + 1.0)
+    for origin, partner, d, dt, w, _ in _pairs(X, XZ, cfg):
+        # one run of pairs per origin: each origin has one in its own block,
+        # as its self pair is always kept (at zero lag the planar translation
+        # correction is 1; on a network m = 1 and m_T >= 1)
+        for mine in np.split(np.arange(len(origin)), np.flatnonzero(np.diff(origin)) + 1):
+            i = origin[mine[0]]
+            # origin i's in-range partners, without itself, and their positions
+            # in its pool (X minus x_i) then Z; pairs come in ascending partner
+            # order, so in pool order
+            mine = mine[partner[mine] != i]
+            pos = partner[mine] - (partner[mine] > i)
+            # row 0 is the observed partner set, rows 1..k the random subsets:
+            # each the size smallest of n_pool uniform keys, drawn in row blocks
+            # of one stream (the same keys as one draw)
+            hit = np.zeros((k + 1, len(mine)), dtype=bool)
+            hit[0] = pos < size
+            rng = np.random.default_rng(children[i])
+            for rows in _origin_blocks(None, k, n_pool) if size else ():  # else all empty
+                block = hit[1:][rows]
+                keys = rng.random((len(block), n_pool))
+                cut = np.partition(keys, size - 1, axis=1)[:, size - 1]
+                block[:] = keys[:, pos] <= cut[:, None]
+            sub, at = np.nonzero(hit)
+            pick = mine[at]
+            surf = _lag_sums(X, cfg, scale, d[pick], dt[pick], w[pick], sub, k + 1)
+            obs, null = surf[0], surf[1:]
+            mean_null = null.mean(axis=0)
+            t_obs = float(np.sum((obs - mean_null) ** 2))
+            loo_mean = (null.sum(axis=0)[None] - null) / (k - 1) if k > 1 else mean_null[None]
+            t_null = np.sum((null - loo_mean) ** 2, axis=(1, 2))
+            pvalues[order[i]] = (1.0 + np.sum(t_null >= t_obs)) / (k + 1.0)
 
     return LocalTestResult(pvalues, alpha, k, method, nX, nZ)
 

@@ -133,7 +133,8 @@ def min_contrast(
     Nelder-Mead on log parameters, restarting from 3 deterministic
     jitters of the initial point and keeping the best.  A fit pinned to
     the parameter box (e.g. for a flat surface ghat = 1 driving sigma to
-    0) is flagged ``boundary``.  Estimates and weights must be finite.
+    0) is flagged ``boundary``.  Estimates and weights must be finite, q
+    and the initial sigma, alpha and beta positive and finite.
 
     This is the one-surface case of the batched fit that
     ``stlgcppm(second="local")`` runs over all its local surfaces at once;
@@ -166,6 +167,13 @@ def _min_contrast_batch(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != ests.shape[1:] or not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("weights must be finite, nonnegative and match the surface")
+    # written so that NaN fails too
+    if not 0 < float(q) < math.inf:
+        raise ValueError(f"q must be positive and finite, got {q!r}")
+    if init is None:
+        init = {"sigma": 1.0, "alpha": float(np.median(rs)), "beta": float(np.median(hs))}
+    elif not all(0 < float(init.get(p, math.nan)) < math.inf for p in ("sigma", "alpha", "beta")):
+        raise ValueError(f"init must hold sigma, alpha and beta, positive and finite: {init!r}")
     extras = dict(extras or {})
     shape = _shape_params(family, extras)
 
@@ -184,8 +192,6 @@ def _min_contrast_batch(
         # a single surface
         return resid.reshape(len(rows), -1).sum(axis=1)
 
-    if init is None:
-        init = {"sigma": 1.0, "alpha": float(np.median(rs)), "beta": float(np.median(hs))}
     x0 = np.log([init["sigma"], init["alpha"], init["beta"]])
     lo = np.array(
         [-_LOG_BOUND, math.log(np.median(rs)) - _LOG_BOUND, math.log(np.median(hs)) - _LOG_BOUND]

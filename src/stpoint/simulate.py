@@ -211,12 +211,17 @@ class EtasParams:
     q: float
 
     def __post_init__(self):
-        if self.mu < 0 or self.k0 < 0:
-            raise ValueError("mu and k0 must be nonnegative")
-        if self.c <= 0 or self.d <= 0:
-            raise ValueError("c and d must be positive")
-        if self.p <= 1 or self.q <= 1:
-            raise ValueError("p and q must exceed 1 for integrable kernels")
+        # written so that NaN and inf fail too
+        for name, ok, need in (
+            ("mu", 0 <= self.mu < math.inf, "nonnegative"),
+            ("k0", 0 <= self.k0 < math.inf, "nonnegative"),
+            ("c", 0 < self.c < math.inf, "positive"),
+            ("d", 0 < self.d < math.inf, "positive"),
+            ("p", 1 < self.p < math.inf, "above 1 for an integrable kernel"),
+            ("q", 1 < self.q < math.inf, "above 1 for an integrable kernel"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be finite and {need}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_vector(cls, vec) -> "EtasParams":
@@ -254,6 +259,12 @@ def branching_ratio(
     params: EtasParams, betacov: float, b: float = 1.0, m0: float = 2.5
 ) -> float:
     """Expected offspring per event averaged over the magnitude law."""
+    if not math.isfinite(betacov):
+        raise ValueError(f"betacov must be finite, got {betacov!r}")
+    if not 0 < b < math.inf:  # written so that NaN fails too
+        raise ValueError(f"b must be positive and finite, got {b!r}")
+    if not math.isfinite(m0):
+        raise ValueError(f"m0 must be finite, got {m0!r}")
     rate = b * math.log(10.0)
     if betacov >= rate:
         raise ValueError("magnitude productivity diverges: betacov >= b*ln(10)")

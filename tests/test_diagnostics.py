@@ -156,23 +156,37 @@ def test_localtest_validation(poisson100, unit_window, unit_interval):
         localtest(poisson100, lone, seed=0)
 
 
-def test_localtest_fold_memory_fence_with_wide_kernel_bands(unit_window, unit_interval):
-    # wide bandwidths on a 40 x 40 lag grid spread each picked pair over all
-    # 1600 nodes; the fold takes an origin's picks in steps of the cell
-    # budget, so the peak is 8 MB here, where folding them all at once
-    # peaked at 80 MB
+WIDE_GRID = 0.25 * np.arange(1, 41) / 40
+
+
+@pytest.mark.parametrize(
+    "sizes, k, alpha, statistic, config, bound_mb",
+    [
+        # wide bandwidths on a 40 x 40 lag grid spread each picked pair over
+        # all 1600 nodes; the fold takes an origin's picks in steps of the
+        # cell budget, so the peak is 8 MB here, where folding them all at
+        # once peaked at 80 MB
+        ((20, 400), 99, 0.05, "g", SummaryConfig(rs=WIDE_GRID, hs=WIDE_GRID, br=0.25, bh=0.25), 16),
+        # every pair is in reach; each origin's partners are read from its
+        # own pair block, so the peak is 20 MB here, where joining the pairs
+        # of all blocks first peaked at 49 MB
+        ((400, 1200), 3, 0.5, "K", SummaryConfig(), 32),
+        ((400, 1200), 3, 0.5, "g", SummaryConfig(), 32),
+    ],
+    ids=["g-wide-bands", "K", "g"],
+)
+def test_localtest_fold_memory_fence_with_wide_kernel_bands(
+    unit_window, unit_interval, sizes, k, alpha, statistic, config, bound_mb
+):
     rng = np.random.default_rng(0)
-    X = PointPattern(0.4 + 0.05 * rng.random((20, 3)), unit_window, unit_interval)
-    Z = PointPattern(0.4 + 0.05 * rng.random((400, 3)), unit_window, unit_interval)
-    grid = 0.25 * np.arange(1, 41) / 40
-    cfg = SummaryConfig(rs=grid, hs=grid, br=0.25, bh=0.25)
+    X, Z = (PointPattern(0.4 + 0.05 * rng.random((n, 3)), unit_window, unit_interval) for n in sizes)
     tracemalloc.start()
     try:
-        localtest(X, Z, "g", k=99, config=cfg, seed=0)
+        localtest(X, Z, statistic, k=k, alpha=alpha, config=config, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < bound_mb * 2**20
 
 
 def test_significant_ids_are_one_based():

@@ -135,6 +135,18 @@ def test_min_contrast_validation():
     surf = model_surface("separable-exponential", {"sigma": 1, "alpha": 0.2, "beta": 0.2}, rs, hs)
     with pytest.raises(ValueError, match="weights"):
         min_contrast(surf, weights=np.ones((2, 2)))
+    for q in (float("nan"), float("inf"), 0.0, -0.5):
+        with pytest.raises(ValueError, match="q must be positive and finite"):
+            min_contrast(surf, q=q)
+    good = {"sigma": 1.0, "alpha": 0.2, "beta": 0.2}
+    for init in (
+        {**good, "sigma": -1.0},
+        {**good, "alpha": float("nan")},
+        {**good, "beta": float("inf")},
+        {"sigma": 1.0, "beta": 0.2},
+    ):
+        with pytest.raises(ValueError, match="init must hold sigma, alpha and beta"):
+            min_contrast(surf, init=init)
 
 
 def test_cov_eval_rejects_nan_parameters():

@@ -215,6 +215,21 @@ def test_etas_params_validation():
         EtasParams(mu=1.0, k0=0.0, c=0.02, p=1.0, d=0.05, q=2.0)
     with pytest.raises(ValueError):
         EtasParams.from_vector([1.0, 2.0, 3.0])
+    # NaN and inf fail every check, each named
+    good = dict(mu=1.0, k0=0.0, c=0.02, p=1.5, d=0.05, q=2.0)
+    for name in good:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                EtasParams(**{**good, name: bad})
+    for kwargs, name in (
+        ({"betacov": float("nan")}, "betacov"),
+        ({"betacov": 0.5, "b": float("nan")}, "b"),
+        ({"betacov": 0.5, "b": 0.0}, "b"),
+        ({"betacov": 0.5, "b": -1.0}, "b"),
+        ({"betacov": 0.5, "m0": float("inf")}, "m0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            branching_ratio(SUBCRIT, **kwargs)
 
 
 def test_intensity_spec_validation():
