@@ -132,6 +132,11 @@ def _covariates(args, run) -> dict:
 def _config(args, statistic: str) -> SummaryConfig:
     rs = getattr(args, "rs", None)
     hs = getattr(args, "hs", None)
+    for flag in ("br", "bh"):
+        if statistic == "K" and getattr(args, flag, None) is not None:
+            raise UsageError(f"--{flag} applies only to the g statistic")
+    if getattr(args, "no_normalize", False) and args.network is None:
+        raise UsageError("--no-normalize applies only to network patterns (give --network)")
     return SummaryConfig(
         statistic=statistic,
         rs=_float_list(rs, "--rs") if rs else None,
@@ -253,6 +258,8 @@ def _cmd_simulate_poisson(args):
     if args.lam is not None and args.formula is not None:
         raise UsageError("--lambda and --formula are mutually exclusive")
     if args.lam is not None:
+        if args.coef is not None:
+            raise UsageError("--coef requires --formula")
         spec = IntensitySpec.constant(args.lam)
     else:
         if args.coef is None:
@@ -325,12 +332,12 @@ def _cmd_covariate(args):
 
 def _cmd_summary(args):
     run = Run(args, "summary")
+    cfg = _config(args, args.statistic)
     pattern = _pattern(args, run)
     if args.intensity is not None:
         lam = run.read(read_intensity_csv, args.intensity)
     else:
         lam = pattern.n / pattern.volume
-    cfg = _config(args, args.statistic)
     if args.local:
         lista = second_order_local(pattern, lam, cfg)
         write_surface_csv(lista, run.add("lista.csv"))
@@ -452,6 +459,7 @@ _FAMILY_ALIASES = {
 
 def _cmd_fit_lgcp(args):
     run = Run(args, "fit lgcp")
+    cfg = _config(args, "g")
     pattern = _pattern(args, run)
     covs = _covariates(args, run)
     family = _FAMILY_ALIASES.get(args.family, args.family)
@@ -464,7 +472,7 @@ def _cmd_fit_lgcp(args):
         family=family,
         first=args.first,
         second=args.second,
-        config=_config(args, "g"),
+        config=cfg,
         nd=_nd(args),
         seed=args.seed,
     )
@@ -516,9 +524,10 @@ def _cmd_fit_lgcp(args):
 
 def _cmd_diagnose_global(args):
     run = Run(args, "diagnose global")
+    cfg = _config(args, "K")
     pattern = _pattern(args, run)
     lam = run.read(read_intensity_csv, args.intensity)
-    res = globaldiag(pattern, lam, config=_config(args, "K"))
+    res = globaldiag(pattern, lam, config=cfg)
     write_surface_csv(res.surface, run.add("ksurface.csv"))
     run.write_json("diag.json", {"sum_squared_differences": res.discrepancy})
     if args.emit_svg:
@@ -529,9 +538,10 @@ def _cmd_diagnose_global(args):
 
 def _cmd_diagnose_local(args):
     run = Run(args, "diagnose local")
+    cfg = _config(args, "K")
     pattern = _pattern(args, run)
     lam = run.read(read_intensity_csv, args.intensity)
-    res = localdiag(pattern, lam, p=args.p, config=_config(args, "K"))
+    res = localdiag(pattern, lam, p=args.p, config=cfg)
     ids = np.arange(1, len(res.scores) + 1)
     flagged = np.isin(ids, res.flagged_ids)
     _write_csv(run.add("scores.csv"), ["id", "score", "flagged"], [ids, res.scores, flagged])
@@ -554,6 +564,7 @@ def _cmd_diagnose_local(args):
 
 def _cmd_test_local(args):
     run = Run(args, "test local")
+    cfg = _config(args, args.method)
     net = _network(args, run)
     window, interval = _window(args), _interval(args)
     bg = run.read(read_pattern_csv, args.background, window=window, interval=interval, network=net)
@@ -577,7 +588,7 @@ def _cmd_test_local(args):
         method=args.method,
         k=args.k,
         alpha=args.alpha,
-        config=_config(args, args.method),
+        config=cfg,
         seed=args.seed,
     )
     ids = np.arange(1, len(res.pvalues) + 1)
@@ -626,20 +637,21 @@ def _add_pattern(p):
     _add_domain(p)
 
 
-def _add_lags(p, bandwidths=True):
+def _add_lags(p, bandwidths=True, normalize=True):
     p.add_argument("--rs", help="comma-separated spatial lags")
     p.add_argument("--hs", help="comma-separated temporal lags")
     if bandwidths:
-        p.add_argument("--br", type=float, help="spatial pcf bandwidth")
-        p.add_argument("--bh", type=float, help="temporal pcf bandwidth")
+        p.add_argument("--br", type=float, help="spatial pcf bandwidth (g only)")
+        p.add_argument("--bh", type=float, help="temporal pcf bandwidth (g only)")
     p.add_argument(
         "--correction", choices=["translation", "none"], default="translation"
     )
-    p.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="network patterns: divide by sum of 1/intensity instead of volume",
-    )
+    if normalize:
+        p.add_argument(
+            "--no-normalize",
+            action="store_true",
+            help="network patterns: divide by sum of 1/intensity instead of volume",
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -788,7 +800,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tl.add_argument("--method", choices=["K", "g"], default="K")
     tl.add_argument("--k", type=int, default=99, help="permutation count")
     tl.add_argument("--alpha", type=float, default=0.05)
-    _add_lags(tl)
+    _add_lags(tl, normalize=False)  # localtest scales every surface by n_X / volume
     tl.add_argument("--seed", type=int, required=True)
     _add_out(tl, svg=False)
     tl.set_defaults(func=_cmd_test_local)

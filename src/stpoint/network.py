@@ -14,9 +14,10 @@ hits, with a fixed tolerance for coincidences.
 Pair tables take their origins in blocks.  One label-correcting search
 relaxes the vertex distances of every origin in a block together, with
 the same float sums as a Dijkstra search per origin, and the equidistant
-counts of a block are read off each origin's sorted segment end distances
-and tent peaks; only lags within a few VERTEX_TOL of such a breakpoint go
-through the tolerance rule of ``equidistant_counts``.
+counts of a block are read off each origin's segment end distances and
+tent peaks, sorted together as (origin, breakpoint) keys; only lags within
+a few VERTEX_TOL of such a breakpoint go through the tolerance rule of
+``equidistant_counts``.
 """
 
 from __future__ import annotations
@@ -342,33 +343,29 @@ def _pair_geometry(network, origins, partners, reach=-np.inf):
     return dist, m, dv
 
 
-def _row_searchsorted(table, row, x, side):
-    """np.searchsorted(table[row[q]], x[q], side) for every q, by bisection.
+def _rank(values, cap, row, x, side):
+    """Rank of each x[q] among the values of row row[q], with its neighbours.
 
-    Each row of table is sorted; the queries bisect their rows together.
+    A row's values up to cap count (NaN and values past it are dropped).
+    Returns (rank, below, above): rank[q] is np.searchsorted of x[q] in row
+    row[q]'s sorted values, and below and above are the values just before
+    and at that rank, -inf and +inf past the row's ends.  All rows share one
+    sorted array of complex keys row + i value, which numpy orders by real
+    part, then imaginary part.
     """
-    width = table.shape[1]
-    lo = np.zeros(len(x), dtype=np.int64)
-    hi = np.full(len(x), width)
-    for _ in range(width.bit_length()):
-        mid = (lo + hi) // 2
-        v = table[row, np.minimum(mid, width - 1)]
-        go = (lo < hi) & ((v < x) if side == "left" else (v <= x))
-        lo = np.where(go, mid + 1, lo)
-        hi = np.where(go, hi, mid)
-    return lo
-
-
-def _sorted_breakpoints(values, cap) -> np.ndarray:
-    """Each row's values up to cap, sorted between a -inf and a +inf column.
-
-    Values past cap, and NaN, are dropped; rows keep one width, padded with
-    +inf.
-    """
-    kept = np.where(values <= cap, values, np.inf)
-    width = int((kept < np.inf).sum(axis=1).max(initial=0))
-    pad = np.full((len(values), 1), np.inf)
-    return np.concatenate([-pad, np.sort(kept, axis=1)[:, :width], pad], axis=1)
+    r, c = np.nonzero(values <= cap)
+    keys = np.empty(r.size, dtype=complex)
+    keys.real, keys.imag = r, values[r, c]  # not r + 1j * value: 1j * inf is nan+infj
+    keys.sort()
+    query = np.empty(len(x), dtype=complex)
+    query.real, query.imag = row, x
+    at = np.searchsorted(keys, query, side)
+    bounds = np.searchsorted(r, np.arange(len(values) + 1))  # row k: keys[bounds[k]:bounds[k + 1]]
+    first, stop = bounds[row], bounds[row + 1]
+    sorted_values = np.concatenate([[-np.inf], keys.imag, [np.inf]])
+    below = np.where(at > first, sorted_values[at], -np.inf)
+    above = np.where(at < stop, sorted_values[at + 1], np.inf)
+    return at - first, below, above
 
 
 def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
@@ -378,10 +375,11 @@ def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
     (sub)segment the distance to the origin is a tent that rises from both
     end distances to its peak.  A lag r further than a few VERTEX_TOL from
     every end, peak and 0 meets the tent once per end below r unless r is
-    past the peak, so m = #{ends < r} - 2 #{peaks <= r}, read from the
-    origin's sorted ends and peaks; no vertex lies at r.  Lags at or below
-    VERTEX_TOL count 1.  The other lags near a breakpoint, where the
-    tolerance rule decides, go to ``equidistant_counts``.
+    past the peak, so m = #{ends < r} - 2 #{peaks <= r}; no vertex lies at
+    r.  Both counts, and the breakpoints next to each lag, come from one
+    search over the sorted (origin, breakpoint) keys of ``_rank``.  Lags at
+    or below VERTEX_TOL count 1.  The other lags near a breakpoint, where
+    the tolerance rule decides, go to ``equidistant_counts``.
     """
     da, db, ell = _segment_tables(network, seg, off, dv)
     with np.errstate(invalid="ignore"):  # inf - inf on unreachable rows
@@ -390,14 +388,10 @@ def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
     scale = max(dv[np.isfinite(dv)].max(initial=0.0), rs.max(initial=0.0)) + network.lengths.max()
     margin = 4.0 * VERTEX_TOL + 64.0 * np.finfo(float).eps * scale
     cap = rs.max(initial=0.0) + 2.0 * margin  # breakpoints beyond it change nothing
-    ends = _sorted_breakpoints(np.concatenate([da, db], axis=1), cap)
-    peaks = _sorted_breakpoints(peaks, cap)
-    e = _row_searchsorted(ends, row, rs, "left")
-    p = _row_searchsorted(peaks, row, rs, "right")
-    counts = (e - 1) - 2 * (p - 1)
-    gap = np.minimum.reduce(
-        [rs, rs - ends[row, e - 1], ends[row, e] - rs, rs - peaks[row, p - 1], peaks[row, p] - rs]
-    )
+    e, end_below, end_above = _rank(np.concatenate([da, db], axis=1), cap, row, rs, "left")
+    p, peak_below, peak_above = _rank(peaks, cap, row, rs, "right")
+    counts = e - 2 * p
+    gap = np.minimum.reduce([rs, rs - end_below, end_above - rs, rs - peak_below, peak_above - rs])
     near = gap <= margin
     counts[rs <= VERTEX_TOL] = 1
     slow = np.flatnonzero(near & (rs > VERTEX_TOL))  # sorted by origin, as row is

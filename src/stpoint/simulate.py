@@ -268,7 +268,13 @@ def branching_ratio(
     rate = b * math.log(10.0)
     if betacov >= rate:
         raise ValueError("magnitude productivity diverges: betacov >= b*ln(10)")
-    mean_exp = math.exp(betacov * m0) * rate / (rate - betacov)
+    try:
+        mean_exp = math.exp(betacov * m0) * rate / (rate - betacov)
+    except OverflowError:
+        raise ValueError(
+            "betacov must be small enough that exp(betacov * m0) is finite, "
+            f"got betacov={betacov!r} and m0={m0!r}"
+        ) from None
     a_t, a_s = _kernel_masses(params)
     return params.k0 * mean_exp * a_t * a_s
 

@@ -264,6 +264,12 @@ def test_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
         == 2
     )
     assert main(SIM_ARGS + ["--threads", "0", "-o", out]) == 2
+    # --coef without --formula would be ignored
+    assert (
+        main(["simulate", "poisson", "--lambda", "50", "--coef", "1,2,3", "--seed", "1",
+              "-o", out]) == 2
+        and "--coef requires --formula" in capsys.readouterr().err
+    )
     samples = tmp_path / "samples.csv"
     samples.write_text("x,y,t,value\n0,0,0,1\n1,1,1,2\n")
     assert main(["covariate", "--samples", str(samples), "--grid", "4,4,x", "-o", out]) == 2
@@ -330,6 +336,8 @@ INERT_FLAGS = [
      ["--emit-svg"]),
     *[(["diagnose", mode, *DIAGNOSE], flag)
       for mode in ("global", "local") for flag in (["--br", "0.1"], ["--bh", "0.1"])],
+    (["test", "local", "--background", "b.csv", "--alt", "a.csv", "--seed", "1", "-o", "o"],
+     ["--no-normalize"]),
 ]
 
 
@@ -339,6 +347,26 @@ def test_commands_refuse_flags_they_would_ignore(argv, flag, capsys):
     _build_parser().parse_args(argv)
     assert main(argv + flag) == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+TEST_LOCAL = ["test", "local", "--background", "b.csv", "--alt", "a.csv", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["summary", "--pattern", "p.csv", "--br", "0.1"], "--br"),
+    (["summary", "--pattern", "p.csv", "--statistic", "K", "--bh", "0.1"], "--bh"),
+    ([*TEST_LOCAL, "--method", "K", "--br", "0.1"], "--br"),
+    ([*TEST_LOCAL, "--bh", "0.1"], "--bh"),
+    (["summary", "--pattern", "p.csv", "--no-normalize"], "--no-normalize"),
+    (["diagnose", "global", *DIAGNOSE[:-2], "--no-normalize"], "--no-normalize"),
+    (["diagnose", "local", *DIAGNOSE[:-2], "--no-normalize"], "--no-normalize"),
+    (["fit", "lgcp", *FIT[:-2], "--no-normalize"], "--no-normalize"),
+])
+def test_lag_flags_that_cannot_take_effect_exit_2(tmp_path, argv, flag, capsys):
+    # K surfaces use no bandwidth, and planar surfaces always divide by the volume;
+    # the flags are refused before any input is read, so the input files need not exist
+    assert main(argv + ["-o", str(tmp_path / "o")]) == 2
+    assert f"error: {flag} applies only to" in capsys.readouterr().err
 
 
 def test_fit_manifest_lists_no_svg_flag(tmp_path, capsys):
@@ -367,7 +395,8 @@ def test_summary_refuses_non_finite_lags(tmp_path, capsys):
     pat_csv = simulate_pattern(tmp_path, capsys)
     for flags, message in ((["--rs", "0.1,nan"], "lags must be positive and finite"),
                            (["--hs", "inf"], "lags must be positive and finite"),
-                           (["--br", "nan"], "bandwidths must be positive and finite")):
+                           (["--statistic", "g", "--br", "nan"],
+                            "bandwidths must be positive and finite")):
         code = main(["summary", "--pattern", str(pat_csv), *flags, "-o", str(tmp_path / "o")])
         assert code == 1
         assert message in capsys.readouterr().err

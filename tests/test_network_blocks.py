@@ -36,7 +36,7 @@ from stpoint import (
     sim_poisson,
 )
 from stpoint import diagnostics, network, summaries
-from stpoint.network import VERTEX_TOL, _pair_geometry, _row_searchsorted, _vertex_distances
+from stpoint.network import VERTEX_TOL, _pair_geometry, _rank, _vertex_distances
 
 from conftest import joined, one_block
 from network_reference import dense_pairs, dijkstra, per_origin_pair_geometry
@@ -206,20 +206,25 @@ def test_counts_at_the_largest_lag_see_breakpoints_just_above_it(below):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_row_searchsorted_matches_numpy(data):
+def test_rank_matches_numpy(data):
     rows = data.draw(st.integers(1, 5))
     width = data.draw(st.integers(1, 9))
-    values = st.sampled_from([-np.inf, 0.0, 0.5, 1.0, 1.5, 2.0, np.inf])
+    values = st.sampled_from([-np.inf, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, np.inf, np.nan])
     cells = data.draw(st.lists(values, min_size=rows * width, max_size=rows * width))
-    table = np.sort(np.reshape(cells, (rows, width)), axis=1)
+    table = np.reshape(cells, (rows, width))  # rows unsorted, with NaN and values past cap
+    cap = data.draw(st.sampled_from([0.5, 2.0, np.inf]))
     q = data.draw(st.integers(0, 12))
     row = data.draw(st.lists(st.integers(0, rows - 1), min_size=q, max_size=q))
     row = np.array(row, dtype=np.int64)
     x = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]), min_size=q, max_size=q))
     x = np.array(x, dtype=float)
     for side in ("left", "right"):
-        want = [np.searchsorted(table[r], v, side=side) for r, v in zip(row, x)]
-        assert _row_searchsorted(table, row, x, side).tolist() == want
+        rank, below, above = _rank(table, cap, row, x, side)
+        for k, (r, v) in enumerate(zip(row, x)):
+            kept = np.sort(table[r][table[r] <= cap])
+            i = np.searchsorted(kept, v, side=side)
+            padded = np.concatenate([[-np.inf], kept, [np.inf]])
+            assert (rank[k], below[k], above[k]) == (i, padded[i], padded[i + 1])
 
 
 def tie_pattern(net, n, rng):

@@ -6,8 +6,11 @@ Swapping the dense reference of ``network_reference``, which lists every
 ordered pair, in for the internal pair function must leave every
 K and g surface, global and local, every ``skipped_pairs`` count and every
 ``localtest`` p-value bit-identical.  Patterns are random, with a quarter
-of the events placed on vertices or segment midpoints where distances tie.
+of the events placed on vertices or segment midpoints where distances tie;
+the surfaces are also checked with every event on a vertex.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -39,11 +42,13 @@ def two_components():
     return LinearNetwork(verts, np.array([[0, 1], [2, 3]]))
 
 
-def random_pattern(net, n, rng):
+def random_pattern(net, n, rng, on_ends=0.0):
+    """n random events; the first share on_ends of them moved to their nearer segment end."""
     seg = rng.integers(len(net.segments), size=n)
     frac = rng.uniform(0.0, 1.0, n)
     snap = rng.random(n) < 0.25
     frac[snap] = rng.choice([0.0, 0.5, 1.0], size=int(snap.sum()))
+    frac[: int(on_ends * n)] = np.round(frac[: int(on_ends * n)])
     off = frac * net.lengths[seg]
     xy = net.segment_point(seg, off)
     v = net.vertices
@@ -66,9 +71,10 @@ def surfaces(pattern, lam, cfg):
 def test_surfaces_match_dense_reference(request, monkeypatch, name, statistic, rs):
     net = request.getfixturevalue(name)
     cfg = SummaryConfig(statistic=statistic, rs=None if rs is None else np.array(rs))
-    for seed in range(8):
+    # with every event on a vertex, each pair distance is a breakpoint of its origin
+    for seed, on_ends in itertools.product(range(8), (0.0, 1.0)):
         rng = np.random.default_rng(seed)
-        pat = random_pattern(net, int(rng.integers(2, 30)), rng)
+        pat = random_pattern(net, int(rng.integers(2, 30)), rng, on_ends)
         lam = rng.uniform(0.5, 2.0, pat.n)
         got = surfaces(pat, lam, cfg)
         with monkeypatch.context() as m:

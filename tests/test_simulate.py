@@ -227,6 +227,7 @@ def test_etas_params_validation():
         ({"betacov": 0.5, "b": 0.0}, "b"),
         ({"betacov": 0.5, "b": -1.0}, "b"),
         ({"betacov": 0.5, "m0": float("inf")}, "m0"),
+        ({"betacov": 0.5, "m0": 2000.0}, "betacov"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             branching_ratio(SUBCRIT, **kwargs)
