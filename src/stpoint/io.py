@@ -12,13 +12,16 @@ surfaces serialize long-format as ``r,h,estimate,theoretical`` (an
 CSV floats are written with 17 significant digits and JSON floats with
 the shortest exact repr, so every value round-trips bit-for-bit.
 
-One writer serves every CSV, the CLI's score and p-value tables too: a
-``%`` format per block of rows, floats as ``%.17g``, ids as ``%d``, labels
-quoted once per level as ``csv.writer`` quotes a field inside a row.  One
-reader serves every numeric CSV: it checks the header line, then calls
-``np.loadtxt`` once; blank lines are skipped, ``#`` is not a comment, and
-ragged rows are refused.  Pattern files, whose marks can hold quoted
-text, are read with ``csv.reader``.
+One writer serves every CSV, the CLI's score and p-value tables too.  It
+works a block of rows at a time: in each numeric column of the block it
+formats every distinct value once (floats as ``%.17g``, told apart by their
+bits; ids and flags as ``%d``) and gathers the strings back into rows, so
+grid axes, lags and ids that repeat a few levels cost a few formats per
+block.  Labels are quoted once per level as ``csv.writer`` quotes a field
+inside a row.  One reader serves every numeric CSV: it checks the header
+line, then calls ``np.loadtxt`` once; blank lines are skipped, ``#`` is not
+a comment, and ragged rows are refused.  Pattern files, whose marks can
+hold quoted text, are read with ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import json
 import warnings
 from functools import partial
 from io import StringIO
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -56,7 +58,7 @@ __all__ = [
 
 
 _FLOAT = "%.17g"
-_FORMATS = {"f": _FLOAT, "i": "%d", "u": "%d", "b": "%d", "O": "%s"}
+_FORMATS = {"f": _FLOAT, "i": "%d", "u": "%d", "b": "%d"}
 _BLOCK_ROWS = 8192
 
 
@@ -76,15 +78,41 @@ def _quote(text: str) -> str:
     return buf.getvalue()[1:-1]
 
 
+def _cells(col: np.ndarray) -> list:
+    """The CSV text of each value of ``col``.  Object values (quoted text)
+    pass as they are; numeric ones take the ``_FORMATS`` entry of their kind,
+    each distinct value formatted once.  Floats are told apart by their bits,
+    so -0.0 and 0.0 stay apart."""
+    if col.dtype.kind == "O":
+        return col.tolist()
+    key = np.asarray(col, dtype=np.float64).view(np.int64) if col.dtype.kind == "f" else col
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    # one ``%`` call for all levels; no number format prints a comma
+    fmt = ",".join([_FORMATS[col.dtype.kind]] * len(first))
+    levels = np.array((fmt % tuple(col[first].tolist())).split(","), dtype=object)
+    return levels[inverse.ravel()].tolist()
+
+
 def _write_csv(path, header, columns) -> None:
     """Header line, then rows; float columns print as ``%.17g``, integer and
-    bool ones as ``%d``, object ones (quoted text) as they are."""
-    row = ",".join(_FORMATS[np.asarray(c).dtype.kind] for c in columns) + "\n"
+    bool ones as ``%d``, object ones (quoted text) as they are.  Rows go out
+    ``_BLOCK_ROWS`` at a time, and each block formats each distinct value of
+    a numeric column once.  Columns of unequal length are refused."""
+    columns = [np.asarray(c) for c in columns]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{path}: columns of unequal length {[len(c) for c in columns]}")
+    n, k = len(columns[0]), len(columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_quote(h) for h in header) + "\n")
-        for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[lo : lo + _BLOCK_ROWS].tolist() for c in columns]
-            fh.write((row * len(block[0])) % tuple(chain.from_iterable(zip(*block))))
+        for lo in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - lo)
+            # cell, comma, cell, ..., cell, newline: one list joined once,
+            # with no string made per row
+            text = [","] * (2 * k * rows)
+            for j, c in enumerate(columns):
+                text[2 * j :: 2 * k] = _cells(c[lo : lo + rows])
+            text[2 * k - 1 :: 2 * k] = ["\n"] * rows
+            fh.write("".join(text))
 
 
 def _read_rows(path, names, bad_header=None, entry="entry") -> np.ndarray:

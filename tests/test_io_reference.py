@@ -9,12 +9,16 @@ labels with commas, quotes, newlines, empty strings and non-ASCII text:
 * every writer's bytes equal the reference writer's, with the block size
   shrunk so that every table crosses block boundaries, and once more at
   the real block size;
+* a block that repeats 0.0, -0.0, nan, +-inf and +-5e-324 prints each as
+  the reference does: the writer formats each distinct value of a block
+  once, and must tell floats apart by their bits, not by ``==``;
 * every numeric reader returns bit-identical arrays on the reference's
   files;
 * the CLI's ``scores.csv`` and ``pvalues.csv`` equal the reference's
   hand-built tables.
 """
 
+import csv
 import json
 from unittest import mock
 
@@ -164,6 +168,43 @@ def test_writers_match_reference_bytes_across_real_blocks(tmp_path):
                          rng.normal(size=(20, 20, 41)))
     assert_same_bytes(io.write_covariate_csv, ref.write_covariate_csv, grid, tmp_path)
     assert_same_bytes(io.write_intensity_csv, ref.write_intensity_csv, values, tmp_path)
+    # 75 surfaces of 16 x 14 lags: 16800 rows over three blocks, with repeated
+    # ids, lags and theoretical values, and -0.0 and nan among the estimates
+    rs, hs = np.linspace(0.0, 0.25, 16), np.linspace(0.0, 0.5, 14)
+    theo = np.pi * rs[:, None] ** 2 * 2 * hs[None, :]
+    est = rng.choice(np.array([-0.0, 0.0, np.nan, 1.5, -2.0]), (75, 16, 14))
+    lista = ListaSet(
+        rng.integers(1, 40, 75),
+        tuple(SummarySurface(rs, hs, e, theo, "K") for e in est),
+        "K",
+    )
+    assert len(lista) * rs.size * hs.size > 2 * io._BLOCK_ROWS
+    assert_same_bytes(io.write_surface_csv, ref.write_surface_csv, lista, tmp_path)
+
+
+def test_level_formatting_keys_floats_by_their_bits(tmp_path):
+    """Values that compare equal (0.0 and -0.0) or unequal to themselves
+    (nan) share blocks with each other and with +-inf and +-5e-324: every
+    block must still print each value as the reference's per-row codec does,
+    next to int64 ids, a bool column and a quoted-label column."""
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    values = np.array(edges * 4 + edges[::-1] * 4)
+    n = len(values)
+    ids = np.arange(n, dtype=np.int64) % 5 * 2**40
+    flags = np.arange(n) % 3 == 0
+    labels = np.array(["", "a,b", 'q"', "two\nlines"] * (n // 4), dtype=object)
+    expect = tmp_path / "expect.csv"
+    with open(expect, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["id", "value", "flag", "label"])
+        for row in zip(ids, values, flags, labels):
+            w.writerow([str(int(row[0])), ref.fmt_float(row[1]), str(int(row[2])), row[3]])
+    quoted = np.array([io._quote(s) for s in labels], dtype=object)
+    for block in (1, 3, io._BLOCK_ROWS):
+        path = tmp_path / f"block{block}.csv"
+        with mock.patch.object(io, "_BLOCK_ROWS", block):
+            io._write_csv(path, ["id", "value", "flag", "label"], [ids, values, flags, quoted])
+        assert path.read_bytes() == expect.read_bytes(), block
 
 
 @settings(max_examples=40, deadline=None)
