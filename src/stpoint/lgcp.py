@@ -177,20 +177,28 @@ def _min_contrast_batch(
     extras = dict(extras or {})
     shape = _shape_params(family, extras)
 
-    r_grid = rs[:, None] * np.ones_like(hs)[None, :]
-    h_grid = np.ones_like(rs)[:, None] * hs[None, :]
+    r_col, h_row = rs[:, None], hs[None, :]
     ghat_q = ests**q
     n_surf, n_jit = len(ests), len(_JITTERS)
     surface_of = np.repeat(np.arange(n_surf), n_jit)
 
     def objective(rows, logpsi):
-        sigma, alpha, beta = (v[:, None, None] for v in np.exp(logpsi).T)
-        c = _cov(family, shape, sigma, alpha, beta, r_grid, h_grid)
-        g = np.exp(np.minimum(c, 700.0))
-        resid = weights * (ghat_q[surface_of[rows]] - g**q) ** 2
+        sigma, alpha, beta = np.exp(logpsi).T[:, :, None, None]
+        # the lags stay on their own axes, so the separable family takes
+        # its exps on (m, nr) and (m, nh) values; broadcasting gives each
+        # cell the bits a full lag grid would
+        c = _cov(family, shape, sigma, alpha, beta, r_col, h_row)
+        # w * (ghat^q - g^q)^2 in the one (m, nr, nh) buffer, each step
+        # rounding as its out-of-place form does
+        np.minimum(c, 700.0, out=c)
+        np.exp(c, out=c)
+        c **= q
+        np.subtract(ghat_q[surface_of[rows]], c, out=c)
+        np.square(c, out=c)
+        c *= weights
         # one contiguous row per point: the same summation as np.sum on
         # a single surface
-        return resid.reshape(len(rows), -1).sum(axis=1)
+        return c.reshape(len(rows), -1).sum(axis=1)
 
     x0 = np.log([init["sigma"], init["alpha"], init["beta"]])
     lo = np.array(
@@ -272,8 +280,9 @@ class LgcpFit:
                 lines.append(f"  {nm}: {np.median(self.first_fit.coef[ok, j]):.4f}")
         if isinstance(self.second_fit, MinContrastResult):
             p = self.second_fit.params
+            flag = " (boundary solution)" if self.second_fit.boundary else ""
             lines.append(
-                f"sigma: {p['sigma']:.4g}  alpha: {p['alpha']:.4g}  beta: {p['beta']:.4g}"
+                f"sigma: {p['sigma']:.4g}  alpha: {p['alpha']:.4g}  beta: {p['beta']:.4g}{flag}"
             )
         else:
             tab = self.param_table()
@@ -281,6 +290,8 @@ class LgcpFit:
             lines.append(
                 f"median sigma: {med[0]:.4g}  alpha: {med[1]:.4g}  beta: {med[2]:.4g}"
             )
+            on_box = sum(f.boundary for f in self.second_fit)
+            lines.append(f"{on_box} of {len(self.second_fit)} local fits on the parameter box")
         lines.append(f"Model fitted in {self.elapsed / 60.0:.3f} minutes")
         return "\n".join(lines)
 

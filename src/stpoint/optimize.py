@@ -2,7 +2,12 @@
 
 Classic Nelder-Mead with reflection 1, expansion 2, contraction 0.5 and
 shrink 0.5, plus optional box constraints handled by projecting candidate
-points onto the box.  Convergence is declared when the simplex diameter
+points onto the box.  The projection is ``np.maximum`` against the lower
+bound, then ``np.minimum`` against the upper one: the values ``np.clip``
+gives, without its Python-level checks, and an infinite bound leaves its
+side of an axis open.  (Only the sign of a zero can differ, on a bound
+of 0 or -0, as it already does between ``np.clip`` calls on arrays of
+different sizes.)  Convergence is declared when the simplex diameter
 falls below a relative tolerance; an iteration cap returns the best point
 found with ``converged=False``.
 
@@ -16,6 +21,7 @@ case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -38,9 +44,9 @@ class MinimizeResult:
 
 
 def _clip(x, lower, upper):
-    if lower is None and upper is None:
+    if lower is None:
         return x
-    return np.clip(x, lower, upper)
+    return np.minimum(np.maximum(x, lower), upper)
 
 
 def _lockstep(fn, x0, step, lower, upper, diam_tol, max_iter):
@@ -63,63 +69,72 @@ def _lockstep(fn, x0, step, lower, upper, diam_tol, max_iter):
     simplex = _clip(simplex, lower, upper)
     rows = np.arange(E)
     values = fn(np.repeat(rows, ndim + 1), simplex.reshape(-1, ndim)).reshape(E, ndim + 1)
-    n_iter = np.zeros(E, dtype=np.int64)
 
     x_out = np.empty((E, ndim))
     f_out = np.empty(E)
     n_out = np.zeros(E, dtype=np.int64)
     c_out = np.zeros(E, dtype=bool)
+    # every live row has run the same n_iter iterations; masks become index
+    # arrays through nonzero, which is cheaper than any() on a few rows
+    n_iter = 0
+    ix = np.arange(E)[:, None]
     while True:
-        order = np.argsort(values, axis=1, kind="stable")
-        ix = np.arange(len(rows))[:, None]
+        order = values.argsort(axis=1, kind="stable")
         simplex, values = simplex[ix, order], values[ix, order]
 
-        # the diameter test: spread of the simplex around its best vertex,
-        # relative to max(1, |best|); |best| comes from a per-row dot
-        # product, rounded as np.linalg.norm rounds a single vector
-        best = simplex[:, :1]
-        spread = np.linalg.norm(simplex[:, 1:] - best, axis=2).max(axis=1)
-        scale = np.maximum(1.0, np.sqrt((best @ best.transpose(0, 2, 1))[:, 0, 0]))
-        capped = n_iter >= max_iter
-        converged = ~capped & (spread < diam_tol * scale)
-        done = capped | converged
-        if done.any():
-            out = rows[done]
-            x_out[out] = simplex[done, 0]
-            f_out[out] = values[done, 0]
-            n_out[out] = n_iter[done]
-            c_out[out] = converged[done]
-            live = ~done
-            rows, simplex, values, n_iter = rows[live], simplex[live], values[live], n_iter[live]
-        if not len(rows):
+        if n_iter >= max_iter:
+            # the cap is checked before the diameter test and ends every
+            # live row, unconverged
+            x_out[rows], f_out[rows], n_out[rows] = simplex[:, 0], values[:, 0], n_iter
             break
+        # the diameter test: spread of the simplex around its best vertex,
+        # relative to max(1, |best|).  The spread is np.linalg.norm's sum of
+        # squares, rooted after the max (the root is monotone); |best|
+        # comes from a per-row dot product, rounded as np.linalg.norm
+        # rounds a single vector
+        best = simplex[:, :1]
+        d = simplex[:, 1:] - best
+        spread = np.sqrt(np.maximum.reduce(np.add.reduce(d * d, axis=2), axis=1))
+        scale = np.maximum(1.0, np.sqrt((best @ best.transpose(0, 2, 1))[:, 0, 0]))
+        converged = spread < diam_tol * scale
+        at = converged.nonzero()[0]
+        if len(at):
+            out = rows[at]
+            x_out[out], f_out[out], n_out[out] = simplex[at, 0], values[at, 0], n_iter
+            c_out[out] = True
+            live = ~converged
+            rows, simplex, values = rows[live], simplex[live], values[live]
+            if not len(rows):
+                break
+            ix = ix[: len(rows)]
 
         n_iter += 1
-        centroid = simplex[:, :-1].mean(axis=1)
+        # the mean as ndarray.mean computes it
+        centroid = np.add.reduce(simplex[:, :-1], axis=1) / ndim
         worst = simplex[:, -1]
         reflected = _clip(centroid + ALPHA * (centroid - worst), lower, upper)
         f_r = fn(rows, reflected)
         new_x, new_f = reflected.copy(), f_r.copy()
         expand = f_r < values[:, 0]
         replace = expand | (f_r < values[:, -2])  # rows that skip contraction
-        if expand.any():
-            c = centroid[expand]
-            expanded = _clip(c + GAMMA * (reflected[expand] - c), lower, upper)
-            f_e = fn(rows[expand], expanded)
-            better = f_e < f_r[expand]
-            at = np.flatnonzero(expand)[better]
+        at = expand.nonzero()[0]
+        if len(at):
+            c = centroid[at]
+            expanded = _clip(c + GAMMA * (reflected[at] - c), lower, upper)
+            f_e = fn(rows[at], expanded)
+            better = f_e < f_r[at]
+            at = at[better]
             new_x[at], new_f[at] = expanded[better], f_e[better]
 
-        contract = ~replace
-        if contract.any():
-            c, f_rc, f_w = centroid[contract], f_r[contract], values[contract, -1]
-            towards = np.where((f_rc < f_w)[:, None], reflected[contract], worst[contract])
+        at = (~replace).nonzero()[0]
+        if len(at):
+            c, f_rc, f_w = centroid[at], f_r[at], values[at, -1]
+            towards = np.where((f_rc < f_w)[:, None], reflected[at], worst[at])
             contracted = _clip(c + RHO * (towards - c), lower, upper)
-            f_c = fn(rows[contract], contracted)
+            f_c = fn(rows[at], contracted)
             # min(f_r, f_worst) with Python's min semantics: f_r unless
             # f_worst is smaller
             accept = f_c < np.where(f_w < f_rc, f_w, f_rc)
-            at = np.flatnonzero(contract)
             new_x[at[accept]], new_f[at[accept]] = contracted[accept], f_c[accept]
             replace[at[accept]] = True
 
@@ -130,8 +145,8 @@ def _lockstep(fn, x0, step, lower, upper, diam_tol, max_iter):
                 f_s = fn(np.repeat(rows[shrink], ndim), rest.reshape(-1, ndim))
                 simplex[shrink, 1:], values[shrink, 1:] = rest, f_s.reshape(-1, ndim)
 
-        simplex[replace, -1] = new_x[replace]
-        values[replace, -1] = new_f[replace]
+        at = replace.nonzero()[0]
+        simplex[at, -1], values[at, -1] = new_x[at], new_f[at]
 
     return x_out, f_out, n_out, c_out
 
@@ -144,12 +159,37 @@ def nelder_mead(
     diam_tol: float = 1e-8,
     max_iter: int = 2000,
 ) -> MinimizeResult:
-    """Minimise fn from x0; ``bounds`` is (lower, upper) arrays or None."""
+    """Minimise fn from x0; ``bounds`` is (lower, upper) arrays or None.
+
+    x0 is a finite 1-d start; ``bounds`` holds a lower and an upper array
+    of x0's shape, lower <= upper, where -inf and inf leave an axis open.
+    step must be finite and nonzero, diam_tol finite and nonnegative, and
+    max_iter a nonnegative integer.  Anything else raises a ValueError
+    naming the argument.
+    """
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 1 or not len(x0) or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be a finite, non-empty 1-d array, got {x0!r}")
     lower = upper = None
     if bounds is not None:
+        if len(bounds) != 2 or any(b is None for b in bounds):
+            raise ValueError(f"bounds must be a (lower, upper) pair of arrays, got {bounds!r}")
         lower = np.asarray(bounds[0], dtype=float)
         upper = np.asarray(bounds[1], dtype=float)
+        if lower.shape != x0.shape or upper.shape != x0.shape:
+            raise ValueError(
+                f"bounds must match x0's shape {x0.shape}, got {lower.shape} and {upper.shape}"
+            )
+        # written so that NaN fails too
+        if not (lower <= upper).all():
+            raise ValueError("bounds must have lower <= upper on every axis, with no NaN")
+    if not (math.isfinite(step) and step != 0):
+        raise ValueError(f"step must be finite and nonzero, got {step!r}")
+    # written so that NaN fails too
+    if not 0 <= diam_tol < math.inf:
+        raise ValueError(f"diam_tol must be finite and nonnegative, got {diam_tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 0:
+        raise ValueError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
 
     def rows_fn(rows, points):
         return np.array([fn(p) for p in points], dtype=float)

@@ -322,6 +322,20 @@ def test_poisson_input_yields_boundary_sigma():
     assert fit.params["sigma"] < 0.05
 
 
+def test_str_shows_boundary_fits():
+    fit = stlgcppm(sim_poisson(150.0, seed=21), "~1")
+    sigma_line = next(l for l in str(fit).splitlines() if l.startswith("sigma:"))
+    assert sigma_line.endswith(" (boundary solution)")
+    interior = replace(fit, second_fit=replace(fit.second_fit, boundary=False))
+    assert "boundary" not in str(interior)
+
+    pat = sim_lgcp(lam0=40.0, grid=(4, 4, 3), seed=17)
+    cfg = SummaryConfig(rs=np.linspace(0.05, 0.25, 4), hs=np.linspace(0.05, 0.25, 4))
+    local = stlgcppm(pat, "~1", second="local", config=cfg)
+    on_box = sum(f.boundary for f in local.second_fit)
+    assert f"\n{on_box} of {pat.n} local fits on the parameter box\n" in str(local)
+
+
 def test_local_first_order_matches_standalone_fit():
     pat = sim_lgcp(lam0=60.0, grid=(5, 5, 3), seed=13)
     cfg = SummaryConfig(rs=np.linspace(0.05, 0.25, 5), hs=np.linspace(0.05, 0.25, 5))

@@ -154,6 +154,74 @@ def test_lockstep_rows_equal_single_runs(seed, n_starts, box, max_iter, fn):
         same_run((one.x, one.fun, one.n_iter, one.converged), want)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_starts=st.integers(1, 6),
+    box=st.sampled_from(["half-open", "open"]),
+    max_iter=st.sampled_from([3, 40, 2000]),
+    fn=st.sampled_from([bumpy, plateau, nan_above]),
+)
+def test_lockstep_projects_onto_infinite_bounds_as_clip_does(seed, n_starts, box, max_iter, fn):
+    # the lockstep projects with np.maximum and np.minimum, the reference
+    # with np.clip; an infinite bound leaves its side of an axis open
+    rng = np.random.default_rng(seed)
+    starts = rng.uniform(-3.0, 3.0, (n_starts, 3))
+    lower, upper = {
+        "half-open": (np.array([-np.inf, -1.5, -np.inf]), np.array([0.5, np.inf, np.inf])),
+        "open": (np.full(3, -np.inf), np.full(3, np.inf)),
+    }[box]
+
+    def rows_fn(rows, points):
+        return np.array([fn(p) for p in points])
+
+    batch = _lockstep(rows_fn, starts, 0.5, lower, upper, 1e-8, max_iter)
+    for k, x0 in enumerate(starts):
+        want = scalar_nelder_mead(fn, x0, bounds=(lower, upper), max_iter=max_iter)
+        same_run([a[k] for a in batch], want)
+        assert np.all((lower <= batch[0][k]) & (batch[0][k] <= upper))
+
+
+def quadratic(x):
+    return float(np.sum(x**2))
+
+
+BAD_INPUTS = {
+    "lower-none": ({"bounds": (None, [1.0, 1.0])}, "bounds"),
+    "bounds-not-a-pair": ({"bounds": ([0.0, 0.0],)}, "bounds"),
+    "lower-above-upper": ({"bounds": ([1.0, 1.0], [0.0, 0.0])}, "bounds"),
+    "nan-bound": ({"bounds": ([0.0, math.nan], [1.0, 1.0])}, "bounds"),
+    "bounds-broadcast": ({"bounds": ([0.0], [1.0])}, "bounds"),
+    "scalar-bounds": ({"bounds": (0.0, 1.0)}, "bounds"),
+    "nan-x0": ({"x0": [math.nan, 1.0]}, "x0"),
+    "inf-x0": ({"x0": [math.inf, 0.0]}, "x0"),
+    "2d-x0": ({"x0": [[0.3, 0.4]]}, "x0"),
+    "0d-x0": ({"x0": 0.3}, "x0"),
+    "empty-x0": ({"x0": []}, "x0"),
+    "zero-step": ({"step": 0.0}, "step"),
+    "nan-step": ({"step": math.nan}, "step"),
+    "nan-diam-tol": ({"diam_tol": math.nan}, "diam_tol"),
+    "negative-diam-tol": ({"diam_tol": -1e-8}, "diam_tol"),
+    "negative-max-iter": ({"max_iter": -1}, "max_iter"),
+    "float-max-iter": ({"max_iter": 10.5}, "max_iter"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_nelder_mead_refuses_bad_inputs_by_name(case):
+    kwargs, name = BAD_INPUTS[case]
+    kwargs = {"x0": [0.3, 0.4], **kwargs}
+    with pytest.raises(ValueError, match=name):
+        nelder_mead(quadratic, **kwargs)
+
+
+def test_nelder_mead_accepts_infinite_bounds():
+    lower, upper = np.array([-np.inf, 0.1]), np.array([np.inf, np.inf])
+    res = nelder_mead(quadratic, [0.3, 0.4], bounds=(lower, upper))
+    assert res.converged
+    assert res.x == pytest.approx([0.0, 0.1], abs=1e-6)
+
+
 def scalar_cov(family, sigma, alpha, beta, extras, r, h):
     """The covariance families with Python float parameters."""
     sigma, alpha, beta = float(sigma), float(alpha), float(beta)
@@ -181,19 +249,20 @@ def test_array_parameters_round_as_scalar_ones(family):
     assert np.array_equal(got, want)
 
 
-def lone_fit(surface, family, init, extras):
+def lone_fit(surface, family, init, extras, q=0.5, weights=None):
     """Minimum contrast written out per start: scalar covariances, one
     single-start simplex search per jitter."""
     rs, hs, ghat = surface.rs, surface.hs, surface.est
     r_grid = rs[:, None] * np.ones_like(hs)[None, :]
     h_grid = np.ones_like(rs)[:, None] * hs[None, :]
-    ghat_q = ghat**0.5
+    ghat_q = ghat**q
+    w = np.ones_like(ghat) if weights is None else weights
 
     def objective(logpsi):
         sigma, alpha, beta = np.exp(logpsi)
         c = scalar_cov(family, sigma, alpha, beta, extras, r_grid, h_grid)
         g = np.exp(np.minimum(c, 700.0))
-        return float(np.sum(np.ones_like(ghat) * (ghat_q - g**0.5) ** 2))
+        return float(np.sum(w * (ghat_q - g**q) ** 2))
 
     bound = math.log(1e8)
     mid = np.array([0.0, math.log(np.median(rs)), math.log(np.median(hs))])
@@ -238,3 +307,41 @@ def test_batched_min_contrast_equals_lone_fits(family, seed, n_surf):
         assert got.contrast == want[1]
         assert (got.n_iter, got.converged) == (iters, want[3])
         assert got == min_contrast(surface, family=family, init=init, extras=extras)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    family=st.sampled_from(COV_FAMILIES),
+    seed=st.integers(0, 2**32 - 1),
+    n_surf=st.integers(1, 4),
+    q=st.sampled_from([0.25, 1.0]),
+)
+def test_batched_min_contrast_equals_lone_fits_at_other_q_and_weights(family, seed, n_surf, q):
+    # the batched objective raises to q and weighs in place; the lone fit
+    # writes both out, so a q or weight slip shows here
+    rng = np.random.default_rng(seed)
+    rs = np.linspace(0.02, 0.3, 6)
+    hs = np.linspace(0.03, 0.4, 5)
+    r = rs[:, None] * np.ones(len(hs))[None, :]
+    h = np.ones(len(rs))[:, None] * hs[None, :]
+    extras = {"gneiting": {"delta": 0.5}, "iaco-cesare": {"kappa3": 2.0}}.get(family, {})
+    ests = []
+    for _ in range(n_surf):
+        truth = dict(zip(NAMES, rng.uniform([0.2, 0.02, 0.02], [2.0, 0.4, 0.5])))
+        model = np.exp(cov_eval(family, {**truth, **extras}, r, h))
+        ests.append(np.maximum(model * (1.0 + 0.3 * rng.normal(size=model.shape)), 0.0))
+    weights = rng.uniform(0.1, 3.0, r.shape)
+    init = dict(zip(NAMES, rng.uniform([0.3, 0.01, 0.01], [3.0, 0.5, 0.5])))
+
+    batch = _min_contrast_batch(
+        rs, hs, np.array(ests), family, q=q, weights=weights, init=init, extras=extras
+    )
+    for est, got in zip(ests, batch):
+        surface = SummarySurface(rs, hs, est, np.ones_like(est), "g")
+        want, iters = lone_fit(surface, family, init, extras, q=q, weights=weights)
+        assert [got.params[k] for k in NAMES] == list(np.exp(want[0]))
+        assert got.contrast == want[1]
+        assert (got.n_iter, got.converged) == (iters, want[3])
+        assert got == min_contrast(
+            surface, family=family, q=q, weights=weights, init=init, extras=extras
+        )
