@@ -257,9 +257,7 @@ def localdiag(
         raise ValueError("need at least 2 events")
     cfg = replace(config or SummaryConfig(), statistic="K")
     listas = second_order_local(pattern, lam, cfg)
-    stack = np.array([s.est for s in listas.surfaces])
-    mean = stack.mean(axis=0)
-    scores = np.sum((stack - mean) ** 2, axis=(1, 2))
+    scores = np.sum((listas.est - listas.mean_surface().est) ** 2, axis=(1, 2))
     threshold = float(np.quantile(scores, p))
     return LocalDiagResult(scores, threshold, p, listas)
 
@@ -269,11 +267,6 @@ def infl(result: LocalDiagResult, ids=None) -> ListaSet:
     if ids is None:
         ids = result.flagged_ids
     ids = _integers(ids, "ids must be integers")
-    skipped = result.listas.skipped_pairs
-    if ids.size == 0:
-        return ListaSet(ids, (), result.listas.statistic, skipped)
-    n = len(result.scores)
-    if ids.min() < 1 or ids.max() > n:
-        raise ValueError("ids must be 1-based event numbers")
-    surfaces = tuple(result.listas.surfaces[i - 1] for i in ids)
-    return ListaSet(ids, surfaces, result.listas.statistic, skipped)
+    if ids.ndim != 1 or (ids.size and (ids.min() < 1 or ids.max() > len(result.scores))):
+        raise ValueError("ids must be a 1-d array of 1-based event numbers")
+    return replace(result.listas, ids=ids, est=result.listas.est[ids - 1])

@@ -268,17 +268,18 @@ _SURFACE_HEADER = ["r", "h", "estimate", "theoretical"]
 
 
 def write_surface_csv(surface, path) -> None:
-    """Long-format surface CSV; ListaSet gains a leading id column."""
+    """Long-format surface CSV; ListaSet gains a leading id column.
+
+    A SummarySurface is written as a stack of one surface, with no id
+    column: the rows run over the surfaces, then r, then h.
+    """
     lista = isinstance(surface, ListaSet)
-    tables = []
-    for surf in surface.surfaces if lista else [surface]:
-        rr, hh = np.meshgrid(surf.rs, surf.hs, indexing="ij")
-        tables.append(
-            np.column_stack([rr.ravel(), hh.ravel(), np.ravel(surf.est), np.ravel(surf.theo)])
-        )
-    header, columns = _SURFACE_HEADER, list(np.concatenate([np.empty((0, 4)), *tables]).T)
+    est = surface.est if lista else surface.est[None]
+    n, nr, nh = est.shape
+    rs, hs = np.tile(np.repeat(surface.rs, nh), n), np.tile(surface.hs, n * nr)
+    header, columns = _SURFACE_HEADER, [rs, hs, est.ravel(), np.tile(surface.theo.ravel(), n)]
     if lista:
-        ids = np.repeat(np.asarray(surface.ids, dtype=np.int64), [len(t) for t in tables])
+        ids = np.repeat(np.asarray(surface.ids, dtype=np.int64), nr * nh)
         header, columns = ["id", *header], [ids, *columns]
     _write_csv(path, header, columns)
 

@@ -342,9 +342,7 @@ def stlgcppm(
         sfit = min_contrast(replace(surf, est=np.maximum(surf.est, 0.0)), family=family)
     else:
         listas = second_order_local(pattern, lam, cfg)
-        s0 = listas.surfaces[0]
-        ests = np.maximum(np.stack([s.est for s in listas.surfaces]), 0.0)
-        sfit = _min_contrast_batch(s0.rs, s0.hs, ests, family)
+        sfit = _min_contrast_batch(listas.rs, listas.hs, np.maximum(listas.est, 0.0), family)
     elapsed = time.perf_counter() - started
     return LgcpFit(family, first, second, ffit, sfit, lam, elapsed)
 

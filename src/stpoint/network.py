@@ -15,9 +15,10 @@ Pair tables take their origins in blocks.  One label-correcting search
 relaxes the vertex distances of every origin in a block together, with
 the same float sums as a Dijkstra search per origin, and the equidistant
 counts of a block are read off each origin's segment end distances and
-tent peaks, sorted together as (origin, breakpoint) keys; only lags within
-a few VERTEX_TOL of such a breakpoint go through the tolerance rule of
-``equidistant_counts``.
+tent peaks, sorted as (origin, breakpoint) keys; only lags within a few
+VERTEX_TOL of a peak or of 0 go through the tolerance rule of
+``equidistant_counts``: every end distance lies next to a peak or to 0
+(``_block_counts`` gives the argument).
 """
 
 from __future__ import annotations
@@ -376,10 +377,27 @@ def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
     end distances to its peak.  A lag r further than a few VERTEX_TOL from
     every end, peak and 0 meets the tent once per end below r unless r is
     past the peak, so m = #{ends < r} - 2 #{peaks <= r}; no vertex lies at
-    r.  Both counts, and the breakpoints next to each lag, come from one
-    search over the sorted (origin, breakpoint) keys of ``_rank``.  Lags at
-    or below VERTEX_TOL count 1.  The other lags near a breakpoint, where
-    the tolerance rule decides, go to ``equidistant_counts``.
+    r.  Both counts, and the peaks next to each lag, come from searches over
+    the sorted (origin, breakpoint) keys of ``_rank``.  Lags at or below
+    VERTEX_TOL count 1.  The other lags within margin of a peak or of 0,
+    where the tolerance rule may decide, go to ``equidistant_counts``.
+
+    The ends need no test of their own.  An end is +inf, 0 or the label
+    d(v) of a reachable vertex v, and that label is the peak of a tent, or
+    lies within VERTEX_TOL of 0:
+
+    - the search sets d(v) = fl(d(u) + l) along a segment (u, v) of length
+      l, which is never the origin's own (its direct label is not above
+      d(u) + l).  That segment's tent, from d(u) and d(v) over l, peaks at
+      d(u) + ((d(v) + l) - d(u)) / 2, which is d(v) within the float slop
+      of the distances;
+    - or d(v) is the origin's own distance along its segment, off or l -
+      off after clamping to [0, l].  The piece from the origin to v then
+      peaks at d(v) within VERTEX_TOL / 2, or, when that piece is left out
+      as shorter than VERTEX_TOL, d(v) is within VERTEX_TOL of 0.
+
+    So a lag further than margin from every peak and from 0 is more than
+    margin - VERTEX_TOL - slop, at least 3 VERTEX_TOL, from every end.
     """
     da, db, ell = _segment_tables(network, seg, off, dv)
     with np.errstate(invalid="ignore"):  # inf - inf on unreachable rows
@@ -388,10 +406,10 @@ def _block_counts(network, seg, off, dv, row, rs) -> np.ndarray:
     scale = max(dv[np.isfinite(dv)].max(initial=0.0), rs.max(initial=0.0)) + network.lengths.max()
     margin = 4.0 * VERTEX_TOL + 64.0 * np.finfo(float).eps * scale
     cap = rs.max(initial=0.0) + 2.0 * margin  # breakpoints beyond it change nothing
-    e, end_below, end_above = _rank(np.concatenate([da, db], axis=1), cap, row, rs, "left")
+    e = _rank(np.concatenate([da, db], axis=1), cap, row, rs, "left")[0]
     p, peak_below, peak_above = _rank(peaks, cap, row, rs, "right")
     counts = e - 2 * p
-    gap = np.minimum.reduce([rs, rs - end_below, end_above - rs, rs - peak_below, peak_above - rs])
+    gap = np.minimum.reduce([rs, rs - peak_below, peak_above - rs])
     near = gap <= margin
     counts[rs <= VERTEX_TOL] = 1
     slow = np.flatnonzero(near & (rs > VERTEX_TOL))  # sorted by origin, as row is

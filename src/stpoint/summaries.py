@@ -3,9 +3,10 @@
 Inhomogeneous K and pair-correlation surfaces over a grid of spatial and
 temporal lags, for planar patterns (translation or no edge correction) and
 network patterns (geometric correction by equidistant counts m(u, r) and
-temporal multiplicities).  Local versions return one surface per event;
-their average over events reproduces the global estimate exactly, which is
-the main internal consistency check.
+temporal multiplicities).  Local versions return one surface per event, as
+one (n, len(rs), len(hs)) stack in a ``ListaSet``; their average over
+events reproduces the global estimate exactly, which is the main internal
+consistency check.
 
 Pair (i, j) contributions, ordered pairs i != j:
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -143,20 +145,35 @@ class SummarySurface:
 
 @dataclass(frozen=True)
 class ListaSet:
-    """Local surfaces, one per event; ids are 1-based event numbers."""
+    """Local surfaces, one per event, as one stack over one lag grid.
+
+    ids are the 1-based event numbers and est their surfaces, of shape
+    (len(ids), len(rs), len(hs)); rs, hs, theo, statistic and skipped_pairs
+    are those of ``SummarySurface`` and shared by every event.
+    """
 
     ids: np.ndarray
-    surfaces: tuple
+    rs: np.ndarray
+    hs: np.ndarray
+    est: np.ndarray
+    theo: np.ndarray
     statistic: str
     skipped_pairs: int = 0
 
+    @cached_property
+    def surfaces(self) -> tuple:
+        """One ``SummarySurface`` per event, made on first use."""
+        rs, hs, theo = self.rs, self.hs, self.theo
+        return tuple(SummarySurface(rs, hs, e, theo, self.statistic) for e in self.est)
+
     def mean_surface(self) -> SummarySurface:
-        est = np.mean([s.est for s in self.surfaces], axis=0)
-        s0 = self.surfaces[0]
-        return SummarySurface(s0.rs, s0.hs, est, s0.theo, s0.statistic, self.skipped_pairs)
+        if not len(self):
+            raise ValueError("the set has no surfaces to average")
+        est = self.est.mean(axis=0)
+        return SummarySurface(self.rs, self.hs, est, self.theo, self.statistic, self.skipped_pairs)
 
     def __len__(self):
-        return len(self.surfaces)
+        return len(self.ids)
 
 
 def _check_lam(pattern, lam) -> np.ndarray:
@@ -417,9 +434,8 @@ def second_order_local(pattern, lam, config=None, ids=None) -> ListaSet:
         ids = np.arange(1, n + 1)
     else:
         ids = _integers(ids, "ids must be integers")
-        if ids.size == 0 or ids.min() < 1 or ids.max() > n:
-            raise ValueError("ids must be 1-based event numbers")
+        if ids.ndim != 1 or ids.size == 0 or ids.min() < 1 or ids.max() > n:
+            raise ValueError("ids must be a 1-d array of 1-based event numbers")
     cfg, order, est, skipped = _surfaces(pattern, lam, config, n)
-    theo, est = _theoretical(pattern, cfg), est[np.argsort(order)[ids - 1]]
-    surfaces = tuple(SummarySurface(cfg.rs, cfg.hs, e, theo, cfg.statistic) for e in est)
-    return ListaSet(np.asarray(ids), surfaces, cfg.statistic, skipped)
+    est = est[np.argsort(order)[ids - 1]]
+    return ListaSet(ids, cfg.rs, cfg.hs, est, _theoretical(pattern, cfg), cfg.statistic, skipped)

@@ -23,6 +23,7 @@ from stpoint import (
     infl,
     localdiag,
     localtest,
+    second_order_local,
     sim_poisson,
 )
 
@@ -304,20 +305,41 @@ def test_localdiag_validation(poisson100, unit_window, unit_interval):
         localdiag(lone, 1.0)
 
 
+def same_surface(surf, listas, i):
+    """surf has the bits of event i's surface in listas."""
+    return all(
+        a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in ((surf.est, listas.est[i - 1]), (surf.rs, listas.rs),
+                     (surf.hs, listas.hs), (surf.theo, listas.theo))
+    )
+
+
 def test_infl_returns_flagged_surfaces(unit_window, unit_interval):
     pat = fixture_20(unit_window, unit_interval)
     res = localdiag(pat, float(pat.n / pat.volume), p=0.8)
     got = infl(res)
     assert np.array_equal(got.ids, res.flagged_ids)
     for i, surf in zip(got.ids, got.surfaces):
-        assert surf is res.listas.surfaces[i - 1]
+        assert same_surface(surf, res.listas, i)
     single = infl(res, ids=[1])
     assert len(single) == 1
-    assert single.surfaces[0] is res.listas.surfaces[0]
+    assert same_surface(single.surfaces[0], res.listas, 1)
     with pytest.raises(ValueError, match="1-based"):
         infl(res, ids=[0])
     with pytest.raises(ValueError, match="1-based"):
         infl(res, ids=[pat.n + 1])
+
+
+@pytest.mark.parametrize("ids", [3, [[1, 2]]])
+def test_local_ids_must_be_one_dimensional(unit_window, unit_interval, ids):
+    # a scalar id used to give nr surfaces of shape (nh,) from
+    # second_order_local, and a bare TypeError from infl
+    pat = fixture_20(unit_window, unit_interval)
+    lam = float(pat.n / pat.volume)
+    with pytest.raises(ValueError, match="1-d array of 1-based"):
+        second_order_local(pat, lam, ids=ids)
+    with pytest.raises(ValueError, match="1-d array of 1-based"):
+        infl(localdiag(pat, lam, p=0.8), ids=ids)
 
 
 def test_infl_empty_when_nothing_flagged(unit_window, unit_interval):
@@ -326,6 +348,18 @@ def test_infl_empty_when_nothing_flagged(unit_window, unit_interval):
     )
     res = localdiag(pat, 2.0, p=0.9)
     assert len(infl(res)) == 0
+
+
+def test_mean_of_no_surfaces_is_refused(unit_window, unit_interval):
+    pat = PointPattern(
+        np.array([[0.3, 0.5, 0.4], [0.7, 0.5, 0.6]]), unit_window, unit_interval
+    )
+    empty = infl(localdiag(pat, 2.0, p=0.9))
+    assert empty.est.shape == (0, len(empty.rs), len(empty.hs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no surfaces"):
+            empty.mean_surface()
 
 
 def test_infl_carries_skipped_pairs():

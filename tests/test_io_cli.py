@@ -17,6 +17,7 @@ import pytest
 from stpoint import (
     CovariateGrid,
     LinearNetwork,
+    ListaSet,
     MarkColumn,
     PointPattern,
     SpatialWindow,
@@ -26,6 +27,7 @@ from stpoint import (
     localdiag,
     localtest,
     second_order_global,
+    second_order_local,
     sim_poisson,
     stppm,
 )
@@ -46,6 +48,7 @@ from stpoint.io import (
     write_pattern_csv,
     write_surface_csv,
 )
+from stpoint.svg import surface_svg
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +172,23 @@ def test_covariate_writer_memory_stays_per_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+def test_lista_writer_memory_stays_per_block(tmp_path):
+    # 4045 events on 10 x 10 lags, as sim_poisson(4000, seed=0): 404,500
+    # rows; one meshgrid per surface and a joined (rows, 4) table peaked at
+    # 30.8 MiB, the repeated and tiled columns at about 15 MiB
+    rng = np.random.default_rng(0)
+    rs, hs = np.arange(1, 11) / 40.0, np.arange(1, 11) / 40.0
+    lista = ListaSet(np.arange(1, 4046), rs, hs, rng.normal(size=(4045, 10, 10)),
+                     np.outer(rs, hs), "K")
+    tracemalloc.start()
+    try:
+        write_surface_csv(lista, tmp_path / "lista.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("extra", [1, -1])
@@ -414,6 +434,29 @@ def test_summary_equivalence(tmp_path, capsys):
     back = read_surface_csv(out / "surface.csv")
     assert np.array_equal(back.est, lib.est)
     assert np.array_equal(back.theo, lib.theo)
+
+
+def test_summary_local_equals_the_library_and_reruns_byte_identical(tmp_path, capsys):
+    pat_csv = simulate_pattern(tmp_path, capsys)
+    out = tmp_path / "loc"
+    argv = ["summary", "--pattern", str(pat_csv), "--local", "--emit-svg", "-o", str(out)]
+    assert main(argv) == 0
+    first = {p.name: read_bytes(p) for p in out.iterdir()}
+    assert set(first) == {"lista.csv", "surface.svg", "run.json"}
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert {p.name: read_bytes(p) for p in out.iterdir()} == first
+
+    pattern = read_pattern_csv(pat_csv)
+    lib = second_order_local(pattern, pattern.n / pattern.volume)
+    assert first["lista.csv"].startswith(b"id,r,h,estimate,theoretical\n")
+    rows = np.loadtxt(out / "lista.csv", delimiter=",", skiprows=1)
+    rows = rows.reshape(len(lib), len(lib.rs), len(lib.hs), 5)
+    shape = rows.shape[:3]
+    for col, want in enumerate([lib.ids[:, None, None], lib.rs[:, None], lib.hs, lib.est]):
+        want = np.broadcast_to(want, shape).astype(float)
+        assert rows[..., col].tobytes() == want.tobytes()
+    assert (out / "surface.svg").read_text(encoding="utf-8") == surface_svg(lib.mean_surface())
 
 
 def test_summary_refuses_non_finite_lags(tmp_path, capsys):

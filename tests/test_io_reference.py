@@ -116,9 +116,12 @@ def surfaces(draw, values=ANY):
 
 @st.composite
 def listas(draw):
-    surfs = draw(st.lists(surfaces(), max_size=4))
-    ids = draw(st.lists(st.integers(1, 2**62), min_size=len(surfs), max_size=len(surfs)))
-    return ListaSet(np.array(ids, dtype=np.int64), tuple(surfs), "K")
+    """0 to 4 surfaces on one drawn lag grid, as one (n, nr, nh) stack."""
+    grid = draw(surfaces())
+    n = draw(st.integers(0, 4))
+    est = floats(draw, ANY, n * grid.est.size).reshape(n, *grid.est.shape)
+    ids = draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n))
+    return ListaSet(np.array(ids, dtype=np.int64), grid.rs, grid.hs, est, grid.theo, "K")
 
 
 def assert_same_bytes(write, reference, obj, tmp_path):
@@ -173,11 +176,7 @@ def test_writers_match_reference_bytes_across_real_blocks(tmp_path):
     rs, hs = np.linspace(0.0, 0.25, 16), np.linspace(0.0, 0.5, 14)
     theo = np.pi * rs[:, None] ** 2 * 2 * hs[None, :]
     est = rng.choice(np.array([-0.0, 0.0, np.nan, 1.5, -2.0]), (75, 16, 14))
-    lista = ListaSet(
-        rng.integers(1, 40, 75),
-        tuple(SummarySurface(rs, hs, e, theo, "K") for e in est),
-        "K",
-    )
+    lista = ListaSet(rng.integers(1, 40, 75), rs, hs, est, theo, "K")
     assert len(lista) * rs.size * hs.size > 2 * io._BLOCK_ROWS
     assert_same_bytes(io.write_surface_csv, ref.write_surface_csv, lista, tmp_path)
 

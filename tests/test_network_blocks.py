@@ -204,6 +204,23 @@ def test_counts_at_the_largest_lag_see_breakpoints_just_above_it(below):
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
+@pytest.mark.parametrize("off", [0.0, 0.5 * VERTEX_TOL, VERTEX_TOL])
+def test_counts_next_to_a_start_vertex_whose_head_piece_is_left_out(off):
+    # the origin sits within VERTEX_TOL of the centre vertex of a 3 x 3
+    # lattice, on segment (4, 5), so its head piece is left out and no tent
+    # peaks at the vertex's label off; the lags run past the breakpoint
+    # margin of about 4 VERTEX_TOL, up to off beyond it, where only the
+    # distance to an end (the vertex label) is within the margin
+    net = join(lattice(3))
+    lags = VERTEX_TOL * np.arange(1, 161) / 20.0  # 0.05 ... 8 VERTEX_TOL
+    part = (np.array([3] * 160 + [2] * 160), np.concatenate([off + lags, 1.0 - lags]))
+    origin = (np.array([3]), np.array([off]))
+    got = _pair_geometry(net, origin, part, 1.0)
+    want = per_origin_pair_geometry(net, origin, part, 1.0)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert set(want[1][0, 160:][lags > 2 * VERTEX_TOL].tolist()) == {4}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_rank_matches_numpy(data):
