@@ -137,6 +137,8 @@ def _config(args, statistic: str) -> SummaryConfig:
             raise UsageError(f"--{flag} applies only to the g statistic")
     if getattr(args, "no_normalize", False) and args.network is None:
         raise UsageError("--no-normalize applies only to network patterns (give --network)")
+    if getattr(args, "correction", None) == "none" and args.network is not None:
+        raise UsageError("--correction none applies only to planar patterns (drop --network)")
     return SummaryConfig(
         statistic=statistic,
         rs=_float_list(rs, "--rs") if rs else None,

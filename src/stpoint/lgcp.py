@@ -375,11 +375,15 @@ def sim_lgcp(
     spacing dt over beta below about 5e-17 rounds exp(-dt/beta) to 1 and
     raises the "not positive definite" ValueError.
 
-    ``grid`` is three positive integers, (gx, gy, gt), with at most 5000
-    cells in all; ``lam0`` must be finite and nonnegative.
+    ``params`` must give sigma, alpha and beta.  ``grid`` is three
+    positive integers, (gx, gy, gt), with at most 5000 cells in all;
+    ``lam0`` must be finite and nonnegative.
     """
     if params is None:
         params = {"sigma": 1.0, "alpha": 0.2, "beta": 0.2}
+    missing = [k for k in ("sigma", "alpha", "beta") if k not in params]
+    if missing:
+        raise ValueError(f"params must give sigma, alpha and beta; missing {', '.join(missing)}")
     if len(grid) != 3 or not all(float(v).is_integer() and v >= 1 for v in grid):
         raise ValueError(f"grid must be three positive integers, got {grid!r}")
     gx, gy, gt = (int(v) for v in grid)

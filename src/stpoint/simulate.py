@@ -199,6 +199,16 @@ def sim_poisson(
     return _time_sorted(window, interval, x, y, t, network, seg, off, keep=keep)
 
 
+def _check(*checks):
+    """Raise a ValueError naming the first (name, value, ok, need) whose ok is false.
+
+    Callers write ok so that NaN fails too.
+    """
+    for name, value, ok, need in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EtasParams:
     """Branching-process parameters (mu, k0, c, p, d, q)."""
@@ -211,17 +221,15 @@ class EtasParams:
     q: float
 
     def __post_init__(self):
-        # written so that NaN and inf fail too
-        for name, ok, need in (
-            ("mu", 0 <= self.mu < math.inf, "nonnegative"),
-            ("k0", 0 <= self.k0 < math.inf, "nonnegative"),
-            ("c", 0 < self.c < math.inf, "positive"),
-            ("d", 0 < self.d < math.inf, "positive"),
-            ("p", 1 < self.p < math.inf, "above 1 for an integrable kernel"),
-            ("q", 1 < self.q < math.inf, "above 1 for an integrable kernel"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be finite and {need}, got {getattr(self, name)!r}")
+        mu, k0, c, p, d, q = self.mu, self.k0, self.c, self.p, self.d, self.q
+        _check(
+            ("mu", mu, 0 <= mu < math.inf, "finite and nonnegative"),
+            ("k0", k0, 0 <= k0 < math.inf, "finite and nonnegative"),
+            ("c", c, 0 < c < math.inf, "finite and positive"),
+            ("d", d, 0 < d < math.inf, "finite and positive"),
+            ("p", p, 1 < p < math.inf, "finite and above 1 for an integrable kernel"),
+            ("q", q, 1 < q < math.inf, "finite and above 1 for an integrable kernel"),
+        )
 
     @classmethod
     def from_vector(cls, vec) -> "EtasParams":
@@ -232,19 +240,35 @@ class EtasParams:
 
 
 def omori_times(rng, n: int, c: float, p: float) -> np.ndarray:
-    """Time lags with density proportional to (tau + c)**(-p) on [0, inf)."""
+    """Time lags with density proportional to (tau + c)**(-p) on [0, inf).
+
+    n must be nonnegative, c finite and positive, p finite and above 1.
+    """
+    _check(
+        ("n", n, n >= 0, "nonnegative"),
+        ("c", c, 0 < c < math.inf, "finite and positive"),
+        ("p", p, 1 < p < math.inf, "finite and above 1 for an integrable kernel"),
+    )
     u = rng.random(n)
     return c * (u ** (1.0 / (1.0 - p)) - 1.0)
 
 
 def radial_displacements(rng, n: int, d: float, q: float) -> np.ndarray:
-    """Radii with density proportional to (r**2 + d)**(-q) * r on [0, inf)."""
+    """Radii with density proportional to (r**2 + d)**(-q) * r on [0, inf).
+
+    d must be finite and nonnegative, q finite and above 1.
+    """
+    _check(
+        ("d", d, 0 <= d < math.inf, "finite and nonnegative"),
+        ("q", q, 1 < q < math.inf, "finite and above 1 for an integrable kernel"),
+    )
     u = rng.random(n)
     return np.sqrt(d * (1.0 - u) ** (-1.0 / (q - 1.0)) - d)
 
 
 def gr_magnitudes(rng, n: int, b: float, m0: float) -> np.ndarray:
-    """Magnitudes m0 + Exponential(rate b*ln 10)."""
+    """Magnitudes m0 + Exponential(rate b*ln 10); b must be finite and positive."""
+    _check(("b", b, 0 < b < math.inf, "finite and positive"))
     return m0 + rng.exponential(1.0 / (b * math.log(10.0)), n)
 
 

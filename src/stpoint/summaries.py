@@ -29,14 +29,14 @@ running sums of the surface as it is made, so no pair outlives its block,
 and ``_fold`` cuts it into steps of the same cell budget for its (pair,
 lag node) cells; the sums are those of one sequential ``bincount`` over
 all pairs, keyed by lag node or by (origin, lag node).  Network pairs
-with no weight are skipped and counted in ``skipped_pairs``: unreachable
-pairs (different connected components), pairs whose temporal count is
-zero, and pairs within the lag reach whose equidistant count is zero.
-Beyond the time slice only the first two kinds exist, and they are
-counted with no partner distances built: a partner is reachable exactly
-when its segment's start vertex is, which the block's vertex distances
-from ``_pair_geometry`` tell, and a zero temporal count needs a partner
-time next to an end of the interval.
+with no weight are skipped and counted in ``skipped_pairs``: pairs in
+different connected components, plus pairs whose equidistant count
+rounds to 0.  Beyond the time slice only the first kind exists, and it
+is counted with no partner distances built: a partner is reachable
+exactly when its segment's start vertex is, which the block's vertex
+distances from ``_pair_geometry`` tell.  The temporal count m_T is never
+0: both events lie in the interval, so the partner's own side of t_i
+does.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import PointPattern, temporal_multiplicity
+from .core import PointPattern
 from .network import _integers, _origin_blocks, _pair_geometry, point_vertex_distances
 
 __all__ = [
@@ -67,7 +67,7 @@ class SummaryConfig:
     statistic: str = "K"  # "K" or "g"
     rs: Optional[np.ndarray] = None
     hs: Optional[np.ndarray] = None
-    correction: str = "translation"  # planar only: "translation" | "none"
+    correction: str = "translation"  # planar only: "translation" | "none"; networks refuse "none"
     normalize: bool = True  # network only
     br: Optional[float] = None  # pcf bandwidths, default 0.1 * max lag
     bh: Optional[float] = None
@@ -90,6 +90,8 @@ def resolve_config(pattern: PointPattern, config: Optional[SummaryConfig]) -> Su
         raise ValueError("statistic must be 'K' or 'g'")
     if cfg.correction not in ("translation", "none"):
         raise ValueError("correction must be 'translation' or 'none'")
+    if cfg.correction == "none" and pattern.network is not None:
+        raise ValueError("correction='none' applies only to planar patterns")
     rs, hs = cfg.rs, cfg.hs
     if rs is None:
         if pattern.network is None:
@@ -122,11 +124,11 @@ class SummarySurface:
     """Estimate and theoretical Poisson surface over the lag grids.
 
     ``skipped_pairs`` counts the ordered network pairs left out for want of
-    weight: unreachable pairs, plus pairs with a zero temporal count or,
-    within the lag reach in distance and time, a zero equidistant count.
-    Pairs beyond the time reach count when their events lie in different
-    connected components or their temporal count is zero; no distance or
-    equidistant count is computed for them.  It is 0 for planar patterns.
+    weight: pairs in different connected components, plus pairs whose
+    equidistant count rounds to 0.  The second kind is counted within the
+    lag reach only, where the count is evaluated, and appears only where
+    VERTEX_TOL is below the float resolution of the distances.  It is 0
+    for planar patterns.
     """
 
     rs: np.ndarray
@@ -148,8 +150,10 @@ class ListaSet:
     """Local surfaces, one per event, as one stack over one lag grid.
 
     ids are the 1-based event numbers and est their surfaces, of shape
-    (len(ids), len(rs), len(hs)); rs, hs, theo, statistic and skipped_pairs
-    are those of ``SummarySurface`` and shared by every event.
+    (len(ids), len(rs), len(hs)); rs, hs, theo and statistic are those of
+    ``SummarySurface`` and shared by every event.  skipped_pairs is that of
+    the whole pattern: pairs in different connected components, plus pairs
+    whose equidistant count rounds to 0.
     """
 
     ids: np.ndarray
@@ -242,37 +246,33 @@ def _network_block(X, Z, rows, j, rmax, hmax):
 
     The partners tried are the columns j, in row order; corr is m(x_i, d)
     m_T(t_i, |dt|), with m evaluated for d <= rmax only.  A pair is dead
-    when it is unreachable or its m or m_T is 0.  The count covers every
-    partner in Z, in three parts that do not overlap:
+    when it is unreachable or its m is 0.  The count covers every partner
+    in Z, in two parts that do not overlap:
 
     - unreachable pairs, from the block's vertex distances dv: a partner is
       reachable exactly when its segment's start vertex is;
-    - reachable pairs with m_T = 0.  With both times in [t0, t1], m_T = 0
-      needs t_i - |dt| < t0 with t_j <= t_i, or t_i + |dt| > t1 with
-      t_j >= t_i.  Exactly, t_i - |dt| = t_j in the first case and
-      t_i + |dt| = t_j in the second; the two roundings move the result by
-      less than 3.01 u S (u the unit roundoff, S the largest |time|).  So
-      only partners within that of t0 or t1 can have m_T = 0, and m_T is
-      evaluated for the partners within 8 u (S + |t0| + |t1|) of either
-      end only;
-    - reachable pairs with m = 0 and m_T > 0, among the columns j.  Beyond
-      the time slice no pair is within the lag reach, so m is 1 there.
+    - reachable pairs with m = 0, among the columns j.  Beyond the time
+      slice no pair is within the lag reach, so m is 1 there.  The partner
+      itself lies at distance d, so m >= 1 in exact arithmetic; m = 0
+      comes only where VERTEX_TOL is below the float resolution of the
+      distances, and the partner sits just past it from a vertex.
+
+    Both times lie in X's interval (Z is X, or a ``localtest`` pool
+    checked to share it), so the partner's own side of t_i is inside it:
+    m_T is 1 plus the far side, t_i + |dt| <= t1 when t_j <= t_i and
+    t_i - |dt| >= t0 otherwise, as ``temporal_multiplicity`` evaluates
+    that side.
     """
     net, origins = X.network, (X.net_seg[rows], X.net_off[rows])
     dist, m_l, dv = _pair_geometry(net, origins, (Z.net_seg[j], Z.net_off[j]), rmax)
     seen, start = np.isfinite(dv), net.segments[Z.net_seg, 0]
     dead = len(dv) * Z.n - int((seen @ np.bincount(start, minlength=dv.shape[1])).sum())
-    t0, t1 = X.interval.t0, X.interval.t1
-    slop = 4.0 * np.finfo(float).eps * (max(abs(X.t).max(), abs(Z.t).max()) + abs(t0) + abs(t1))
-    ends = np.flatnonzero((Z.t <= t0 + slop) | (Z.t >= t1 - slop))
-    m_t = temporal_multiplicity(X.interval, X.t[rows, None], np.abs(X.t[rows, None] - Z.t[ends]))
-    dead += int(((m_t == 0) & seen[:, start[ends]]).sum())
+    dead += int(((m_l == 0) & np.isfinite(dist)).sum())
     dt = np.abs(X.t[rows, None] - Z.t[j])
-    m_t = temporal_multiplicity(X.interval, X.t[rows, None], dt)
-    dead += int(((m_l == 0) & (m_t > 0) & np.isfinite(dist)).sum())
-    r, c = np.nonzero((m_l > 0) & (m_t > 0) & (dist <= rmax) & (dt <= hmax))
-    corr = m_l[r, c] * m_t[r, c]
-    return r + rows.start, j[c], dist[r, c], dt[r, c], corr, dead
+    r, c = np.nonzero((m_l > 0) & (dist <= rmax) & (dt <= hmax))
+    i, jc, dt = r + rows.start, j[c], dt[r, c]
+    far = np.where(Z.t[jc] <= X.t[i], X.t[i] + dt <= X.interval.t1, X.t[i] - dt >= X.interval.t0)
+    return i, jc, dist[r, c], dt, m_l[r, c] * (1 + far), dead
 
 
 def _pairs(X: PointPattern, Z: PointPattern, cfg: SummaryConfig, lam=None):

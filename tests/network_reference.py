@@ -18,7 +18,6 @@ import heapq
 
 import numpy as np
 
-from stpoint.core import temporal_multiplicity
 from stpoint.network import VERTEX_TOL, equidistant_counts
 
 
@@ -95,7 +94,7 @@ def dense_pairs(X, Z, cfg, lam=None):
 
     Same contract as ``stpoint.summaries._pairs`` except that no pair is
     left out: (i, j, d, dt, w, skipped) in row-major order, i != j when
-    ``Z is X``, with dead pairs at weight 0 and distance +inf.
+    ``Z is X``, with dead pairs (m = 0) at weight 0 and distance +inf.
     """
     net = X.network
     dt = np.abs(X.t[:, None] - Z.t[None, :])
@@ -112,8 +111,11 @@ def dense_pairs(X, Z, cfg, lam=None):
         d[same] = np.minimum(d[same], np.abs(Z.net_off[same] - X.net_off[i]))
         dist[i] = d
         m_l[i] = equidistant_counts(net, origin, d, dv=dv)
-    m_t = temporal_multiplicity(X.interval, X.t[:, None], dt)
-    dead = (m_l == 0) | (m_t == 0)
+    # both times lie in the interval, so the partner's own side of t_i does:
+    # m_T is 1 plus the far side, evaluated as temporal_multiplicity does
+    ti, t0, t1 = X.t[:, None], X.interval.t0, X.interval.t1
+    m_t = 1 + np.where(Z.t[None, :] <= ti, ti + dt <= t1, ti - dt >= t0)
+    dead = m_l == 0
     listed = np.ones(dead.shape, dtype=bool)
     if Z is X:
         np.fill_diagonal(dead, False)

@@ -414,6 +414,21 @@ def test_lag_flags_that_cannot_take_effect_exit_2(tmp_path, argv, flag, capsys):
     assert f"error: {flag} applies only to" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["summary", "--pattern", "p.csv"],
+    ["diagnose", "global", *DIAGNOSE[:-2]],
+    ["diagnose", "local", *DIAGNOSE[:-2]],
+    ["fit", "lgcp", *FIT[:-2]],
+    TEST_LOCAL,
+], ids=["summary", "diagnose-global", "diagnose-local", "fit-lgcp", "test-local"])
+def test_network_commands_refuse_correction_none(tmp_path, argv, capsys):
+    # network surfaces always divide by the equidistant and temporal counts;
+    # the flag is refused before any input is read
+    flags = ["--network", "net.json", "--correction", "none", "-o", str(tmp_path / "o")]
+    assert main(argv + flags) == 2
+    assert "error: --correction none applies only to planar patterns" in capsys.readouterr().err
+
+
 def test_fit_manifest_lists_no_svg_flag(tmp_path, capsys):
     pat_csv = simulate_pattern(tmp_path, capsys)
     out = tmp_path / "fit"

@@ -36,10 +36,11 @@ def test_localtest_matches_dense_reference(method, background, alternative, cell
     X, _ = planar_pattern(background)
     Z, _ = planar_pattern(alternative)
     cfg = SummaryConfig()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(network, "_CELLS", cells)
-        got = localtest(X, Z, method, k=9, alpha=0.2, config=cfg, seed=3).pvalues
-    assert np.array_equal(got, reference(X, Z, method, 9, cfg, 3))
+    for k, alpha in ((9, 0.2), (1, 0.6)):  # k = 1: no leave-one-out mean
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(network, "_CELLS", cells)
+            got = localtest(X, Z, method, k=k, alpha=alpha, config=cfg, seed=3).pvalues
+        assert np.array_equal(got, reference(X, Z, method, k, cfg, 3))
 
 
 @pytest.mark.parametrize("method", ["K", "g"])

@@ -411,9 +411,9 @@ def test_network_pair_table_memory_fence():
 
 # Each block tries only its time slice of partners.  Small lag reaches in
 # time and small blocks put most partners outside the slice; events at t0
-# and t1 (where rounding can make the temporal count 0), tied times and
-# times on a grid of step hmax test the slice bounds and the dead-pair
-# count beyond them.
+# and t1 (where the temporal count takes its near side from the partner),
+# tied times and times on a grid of step hmax test the slice bounds and
+# the dead-pair count beyond them.
 TWO_COMPONENTS = LinearNetwork(
     np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 5.0], [2.0, 5.0]]), np.array([[0, 1], [2, 3]])
 )
@@ -487,9 +487,10 @@ def test_time_sliced_pairs_match_dense_reference(case, statistic):
 
 def test_dead_pairs_beyond_the_time_slice_are_counted(monkeypatch):
     # one-origin blocks and a reach of 0.04 in time: every pair lies
-    # outside its origin's slice.  Four pairs join the two components; from
-    # t1 = 0.9 the lag to t0 = 0.1 rounds to 0.8, and 0.9 - 0.8 < 0.1 while
-    # 0.9 + 0.8 > 0.9, so that pair has temporal count 0 as well
+    # outside its origin's slice.  Four pairs join the two components.  From
+    # t1 = 0.9 the lag to t0 = 0.1 rounds to 0.8, and 0.9 - 0.8 < 0.1, yet
+    # that side is the partner's own, inside the interval: the pair has
+    # temporal count 1 and is not dead
     pat = timed_pattern(
         TWO_COMPONENTS, np.array([0, 0, 1]), np.array([0.5, 1.5, 1.0]),
         np.array([0.9, 0.1, 0.5]), TimeInterval(0.1, 0.9),
@@ -498,7 +499,42 @@ def test_dead_pairs_beyond_the_time_slice_are_counted(monkeypatch):
     monkeypatch.setattr(network, "_CELLS", 1)
     got = second_order_global(pat, 1.0, cfg)
     want = reference_run(summaries, lambda: second_order_global(pat, 1.0, cfg))
-    assert got.skipped_pairs == want.skipped_pairs == 5
+    assert got.skipped_pairs == want.skipped_pairs == 4
+    assert same_bits(got.est, want.est)
+
+
+def test_events_at_the_interval_ends_leave_no_pair_dead():
+    # the CLI and pattern_from_table take the interval from the times
+    # themselves, so events sit on both ends.  temporal_multiplicity rounds
+    # m_T to 0 for 227 ordered pairs here; the partner's own side lies in
+    # the interval, so m_T >= 1 and no pair is dead
+    net = join(lattice(11, spacing=0.1))
+    lam = IntensitySpec.constant(300.0 / net.total_length)
+    sim = sim_poisson(lam, network=net, interval=TimeInterval(0.3, 1.7), seed=1)
+    pat = timed_pattern(net, sim.net_seg, sim.net_off, sim.t, TimeInterval(sim.t.min(), sim.t.max()))
+    got = second_order_global(pat, pat.n / pat.volume)
+    want = reference_run(summaries, lambda: second_order_global(pat, pat.n / pat.volume))
+    assert got.skipped_pairs == want.skipped_pairs == 0
+    assert same_bits(got.est, want.est)
+
+
+def test_pairs_whose_equidistant_count_rounds_to_zero_are_counted():
+    # segments 1e8/6 long: the partner sits one ulp (1.9e-9) short of vertex
+    # 1, beyond VERTEX_TOL, and ell - VERTEX_TOL rounds to its own offset,
+    # so the count from the origin at vertex 0 is 0 at the partner's
+    # distance.  This needs VERTEX_TOL below the distances' resolution
+    xs = np.linspace(0.0, 1e8, 7)
+    net = LinearNetwork(np.array([(x, y) for y in xs for x in xs]), np.array(lattice(7)[1]))
+    seg, off = np.array([42, 0]), np.array([0.0, 16666666.666666664])
+    assert net.segments[seg].tolist() == [[0, 7], [0, 1]]
+    ell = net.lengths[0]
+    assert off[1] == np.nextafter(ell, 0.0) == ell - VERTEX_TOL and ell - off[1] > VERTEX_TOL
+    d = network_distance(net, (42, 0.0), (0, off[1]))
+    assert equidistant_counts(net, (42, 0.0), [d]).tolist() == [0]
+    pat = timed_pattern(net, seg, off, np.array([0.4, 0.6]), UNIT_T)
+    got = second_order_global(pat, 1.0)
+    want = reference_run(summaries, lambda: second_order_global(pat, 1.0))
+    assert got.skipped_pairs == want.skipped_pairs == second_order_local(pat, 1.0).skipped_pairs == 1
     assert same_bits(got.est, want.est)
 
 

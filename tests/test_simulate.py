@@ -20,6 +20,7 @@ from stpoint import (
     omori_times,
     radial_displacements,
     sim_etas,
+    sim_lgcp,
     sim_poisson,
 )
 
@@ -125,6 +126,31 @@ def test_magnitudes_follow_gutenberg_richter():
     assert (m >= m0).all()
     d = ks_distance(m, lambda v: 1.0 - np.float_power(10.0, -b * (v - m0)))
     assert d < 0.02
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda rng: sim_lgcp(params={"sigma": 1.0, "beta": 0.2}),
+                 "params must give .* missing alpha", id="sim_lgcp-no-alpha"),
+    pytest.param(lambda rng: sim_lgcp(params={"sigma": 1.0, "alpha": 0.2}),
+                 "params must give .* missing beta", id="sim_lgcp-no-beta"),
+    pytest.param(lambda rng: omori_times(rng, 10, 0.02, 1.0), "p must be", id="omori-p=1"),
+    pytest.param(lambda rng: omori_times(rng, 10, 0.02, 0.5), "p must be", id="omori-p<1"),
+    pytest.param(lambda rng: omori_times(rng, 10, 0.0, 1.5), "c must be", id="omori-c=0"),
+    pytest.param(lambda rng: omori_times(rng, 10, -0.02, 1.5), "c must be", id="omori-c<0"),
+    pytest.param(lambda rng: omori_times(rng, 10, math.nan, 1.5), "c must be", id="omori-c-nan"),
+    pytest.param(lambda rng: omori_times(rng, -1, 0.02, 1.5), "n must be", id="omori-n<0"),
+    pytest.param(lambda rng: radial_displacements(rng, 10, 0.05, 1.0), "q must be", id="radial-q=1"),
+    pytest.param(lambda rng: radial_displacements(rng, 10, 0.05, 0.5), "q must be", id="radial-q<1"),
+    pytest.param(lambda rng: radial_displacements(rng, 10, -0.05, 2.0), "d must be", id="radial-d<0"),
+    pytest.param(lambda rng: radial_displacements(rng, 10, math.nan, 2.0), "d must be",
+                 id="radial-d-nan"),
+    pytest.param(lambda rng: gr_magnitudes(rng, 10, 0.0, 2.5), "b must be", id="gr-b=0"),
+    pytest.param(lambda rng: gr_magnitudes(rng, 10, -1.0, 2.5), "b must be", id="gr-b<0"),
+    pytest.param(lambda rng: gr_magnitudes(rng, 10, math.nan, 2.5), "b must be", id="gr-b-nan"),
+])
+def test_kernel_samplers_refuse_bad_parameters_by_name(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.random.default_rng(0))
 
 
 def test_branching_ratio_matches_numerical_integration():

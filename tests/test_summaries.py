@@ -27,7 +27,7 @@ from stpoint import (
     sim_poisson,
     temporal_multiplicity,
 )
-from stpoint import summaries
+from stpoint import network, summaries
 from stpoint.summaries import resolve_config
 
 UNIT_W = SpatialWindow(0.0, 1.0, 0.0, 1.0)
@@ -222,12 +222,33 @@ def times_near_the_ends(draw):
 @settings(max_examples=1000, deadline=None)
 @given(times_near_the_ends())
 def test_zero_temporal_count_needs_a_time_next_to_an_end(case):
-    # the premise of the dead-pair count in summaries._network_block: it
-    # evaluates m_T only for partners this close to t0 or t1
+    # a property of temporal_multiplicity: evaluated in floats, both sides
+    # of t_i can round out only for a partner this close to t0 or t1.  The
+    # summaries take the partner's own side as inside, so m_T >= 1 there
     t0, t1, ti, tj = case
     if temporal_multiplicity(TimeInterval(t0, t1), ti, abs(ti - tj)) == 0:
         slop = 4.0 * np.finfo(float).eps * (max(abs(ti), abs(tj)) + abs(t0) + abs(t1))
         assert tj <= t0 + slop or tj >= t1 - slop
+
+
+def test_time_slice_keeps_a_lag_that_rounds_onto_hmax(monkeypatch):
+    # fl(t_i - t_j) equals the last time lag, yet t_j < fl(t_i - hmax): the
+    # one-origin block of t_i finds t_j only through _time_slice's rounding
+    # margin.  Both ordered pairs count, 1/|W x T| = 0.5 each
+    monkeypatch.setattr(network, "_CELLS", 1)
+    ti, tj = 1.7511107893000568, 0.1777335123147132
+    hs = np.array([0.5, 1.5733772769853436])
+    assert ti - tj == hs[-1] and tj < ti - hs[-1]
+    pat = planar([[0.5, 0.5, ti], [0.52, 0.5, tj]], interval=TimeInterval(0.0, 2.0))
+    s = second_order_global(pat, 1.0, SummaryConfig(hs=hs, correction="none"))
+    assert s.est[-1, -1] == 1.0
+
+
+def test_network_refuses_correction_none(net_poisson):
+    # the network estimator always divides by m and m_T
+    for call in (second_order_global, second_order_local):
+        with pytest.raises(ValueError, match="correction='none' applies only to planar"):
+            call(net_poisson, 1.0, SummaryConfig(correction="none"))
 
 
 def test_network_normalize_toggle(net_poisson):
